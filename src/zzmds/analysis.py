@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import codec
 from .construct import CodeSpec
 from .perms import access_union, pair_constant
 
@@ -91,19 +90,13 @@ def asymptotic_ratio(family_kind: str, m: int, w: int = None, r: int = 2) -> Fra
 
 
 def measure_rebuild(spec: CodeSpec):
-    """Run the rebuild accounting for every systematic target on a zero
-    stripe (access patterns are data-independent).
+    """The rebuild accounting of every systematic target, read from the
+    compiled plan (access patterns are data-independent).
 
-    Returns (per-target access maps, average measured ratio).
+    Returns (per-target RebuildPlans, average measured ratio).
     """
-    zero_info = [[0] * spec.k for _ in range(spec.p)]
-    stripe = codec.encode(spec, zero_info)
-    plans = []
-    total = 0
-    for col in range(spec.k):
-        _, plan = codec.rebuild_one(spec, stripe, col)
-        plans.append(plan)
-        total += plan.cells_read
+    plans = [spec.plan.rebuild_plan(col) for col in range(spec.k)]
+    total = sum(plan.cells_read for plan in plans)
     average = Fraction(total, spec.k * spec.p * (spec.n - 1))
     return plans, average
 

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from . import analysis, codec, files
+from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
 from .gf import FieldError, field_from_token
 
@@ -63,23 +63,6 @@ def parse_config(path: str):
     return spec
 
 
-def _stripe_columns(symbols_by_node, spec, t):
-    p = spec.p
-    return {node: syms[t * p:(t + 1) * p] for node, syms in symbols_by_node.items()}
-
-
-def _stripe_from_columns(spec, columns):
-    info = [[None] * spec.k for _ in range(spec.p)]
-    parity = [[None] * spec.p for _ in range(spec.r)]
-    for node, col in columns.items():
-        if node < spec.k:
-            for x in range(spec.p):
-                info[x][node] = col[x]
-        else:
-            parity[node - spec.k] = list(col)
-    return codec.Stripe(spec, info, parity)
-
-
 def _load_dir(directory):
     manifest_path = os.path.join(directory, "manifest")
     if not os.path.exists(manifest_path):
@@ -90,6 +73,33 @@ def _load_dir(directory):
     except (files.FormatError, CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad manifest: {e}") from None
     return mf, spec
+
+
+def _read_nodes(directory, spec, mf):
+    """Node files that can be used as stored: ({node: symbols}, [invalid nodes]).
+
+    A file whose symbol count is not stripe_count * p (or not whole), or
+    that holds a symbol outside the field, is left out with a warning and so counts as
+    an erasure: the plan's kernels index columns by stripe offset and tables
+    by symbol, and check neither.
+    """
+    columns = files.read_columns(directory, spec)
+    want, q = mf.stripe_count * spec.p, spec.field.q
+    invalid = []
+    for node, symbols in sorted(columns.items()):
+        if symbols is None:
+            problem = "a partial symbol"
+        elif len(symbols) != want:
+            problem = f"{len(symbols)} symbols, not {want}"
+        elif symbols and max(symbols) >= q:
+            problem = f"a symbol outside {spec.field.token}"
+        else:
+            continue
+        print(f"warning: {files.node_filename(node)} holds {problem}; treating it as lost",
+              file=sys.stderr)
+        invalid.append(node)
+        del columns[node]
+    return columns, invalid
 
 
 def _fraction_str(fr):
@@ -109,13 +119,11 @@ def cmd_encode(args):
     nstripes = (len(symbols) + cap - 1) // cap
     symbols.extend([0] * (nstripes * cap - len(symbols)))
 
-    per_node = [[] for _ in range(spec.n)]
-    for t in range(nstripes):
-        block = symbols[t * cap:(t + 1) * cap]
-        info = [[block[j * spec.p + x] for j in range(spec.k)] for x in range(spec.p)]
-        stripe = codec.encode(spec, info)
-        for node in range(spec.n):
-            per_node[node].extend(stripe.column(node))
+    per_node = [[] for _ in range(spec.k)]
+    for base in range(0, len(symbols), cap):
+        for j, col in enumerate(per_node):
+            col.extend(symbols[base + j * spec.p:base + (j + 1) * spec.p])
+    per_node += spec.plan.encode(per_node, nstripes)
 
     os.makedirs(args.out, exist_ok=True)
     for node in range(spec.n):
@@ -128,19 +136,18 @@ def cmd_encode(args):
     return 0
 
 
-def _decode_payload(spec, mf, symbols_by_node):
+def _decode_payload(spec, mf, columns):
     """Recover the original byte payload from intact systematic columns."""
     out = []
-    for t in range(mf.stripe_count):
-        cols = _stripe_columns(symbols_by_node, spec, t)
+    for base in range(0, mf.stripe_count * spec.p, spec.p):
         for j in range(spec.k):
-            out.extend(cols[j])
+            out.extend(columns[j][base:base + spec.p])
     return files.symbols_to_bytes(out, spec.field.q, mf.payload_length)
 
 
 def cmd_rebuild(args):
     mf, spec = _load_dir(args.dir)
-    present = files.read_columns(args.dir, spec)
+    present, _ = _read_nodes(args.dir, spec, mf)
     missing = [i for i in range(spec.n) if i not in present]
     if len(missing) != 1:
         raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
@@ -149,28 +156,25 @@ def cmd_rebuild(args):
         raise CliError(f"node {args.node} file is present; node {missing[0]} is the missing one")
     lost = missing[0]
 
-    restored = []
-    plan = None
-    for t in range(mf.stripe_count):
-        stripe = _stripe_from_columns(spec, _stripe_columns(present, spec, t))
-        values, plan = codec.rebuild_one(spec, stripe, lost)
-        restored.extend(values)
+    cols = [present.get(i) for i in range(spec.n)]
+    restored = spec.plan.rebuild(cols, mf.stripe_count, lost)
     files.write_node_file(os.path.join(args.dir, files.node_filename(lost)),
                           restored, spec.field.q)
 
     print(f"rebuilt node_{lost:02d} ({mf.stripe_count} stripes)")
-    if plan is not None:
+    if mf.stripe_count:
+        plan = spec.plan.rebuild_plan(lost)
         for node in sorted(plan.access):
             print(f"  read node_{node:02d}: {plan.cells_in(node)} cells/stripe")
         print(f"ratio {_fraction_str(plan.ratio(spec))}")
-    elif mf.stripe_count == 0:
+    else:
         print("ratio 0 (empty payload)")
     return 0
 
 
 def cmd_decode(args):
     mf, spec = _load_dir(args.dir)
-    present = files.read_columns(args.dir, spec)
+    present, _ = _read_nodes(args.dir, spec, mf)
     absent = [i for i in range(spec.n) if i not in present]
     named = set()
     if args.missing:
@@ -190,12 +194,8 @@ def cmd_decode(args):
         print("nothing to decode")
         return 0
 
-    restored = {i: [] for i in missing}
-    for t in range(mf.stripe_count):
-        stripe = _stripe_from_columns(spec, _stripe_columns(present, spec, t))
-        full = codec.decode_erasures(spec, stripe, missing)
-        for i in missing:
-            restored[i].extend(full.column(i))
+    cols = [present.get(i) for i in range(spec.n)]
+    restored = spec.plan.decode(cols, mf.stripe_count, missing)
     for i in missing:
         files.write_node_file(os.path.join(args.dir, files.node_filename(i)),
                               restored[i], spec.field.q)
@@ -211,56 +211,42 @@ def cmd_decode(args):
 
 def cmd_scrub(args):
     mf, spec = _load_dir(args.dir)
-    present = files.read_columns(args.dir, spec)
-    missing = [i for i in range(spec.n) if i not in present]
+    present, invalid = _read_nodes(args.dir, spec, mf)
+    missing = [i for i in range(spec.n) if i not in present and i not in invalid]
     if missing:
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
                        f"directory (use rebuild/decode first)")
 
-    located = set()
-    dirty = False
-
-    # Symbols outside [0, q) cannot even enter the syndrome computation;
-    # treat whole nodes carrying them as erasures and restore those first.
-    q = spec.field.q
-    bad = [i for i in range(spec.n) if any(v >= q for v in present[i])]
-    if bad:
-        if len(bad) > spec.r:
-            print(f"{len(bad)} nodes hold invalid symbols; beyond {spec.r}-erasure repair")
-            return 2
-        fixed = {i: [] for i in bad}
-        for t in range(mf.stripe_count):
-            cols = {i: c for i, c in _stripe_columns(present, spec, t).items() if i not in bad}
-            full = codec.decode_erasures(spec, _stripe_from_columns(spec, cols), bad)
-            for i in bad:
-                fixed[i].extend(full.column(i))
-        for i in bad:
-            present[i] = fixed[i]
-        located.update(bad)
-        dirty = True
+    plan, p = spec.plan, spec.p
+    # Invalid nodes cannot even enter the syndrome computation; restore
+    # them as erasures first.
+    if len(invalid) > spec.r:
+        print(f"{len(invalid)} nodes hold invalid symbols; beyond {spec.r}-erasure repair")
+        return 2
+    cols = [present.get(i) for i in range(spec.n)]
+    if invalid:
+        for node, col in plan.decode(cols, mf.stripe_count, invalid).items():
+            cols[node] = col
+    located = set(invalid)
+    syndromes = plan.syndrome(cols, mf.stripe_count)
     for t in range(mf.stripe_count):
-        stripe = _stripe_from_columns(spec, _stripe_columns(present, spec, t))
-        if spec.r != 2:
-            if any(any(v for v in s) for s in codec.syndrome(spec, stripe)):
-                print(f"stripe {t}: inconsistent (error location needs r=2)")
-                return 2
+        lo, hi = t * p, (t + 1) * p
+        if not any(any(s[lo:hi]) for s in syndromes):
             continue
-        scan = codec.decode_error(spec, stripe)
-        if scan.status == "uncorrectable":
+        found = plan.locate([col[lo:hi] for col in cols])
+        if found is None:
             print(f"stripe {t}: uncorrectable (more than one corrupted column)")
             return 2
-        if scan.status == "corrected":
-            dirty = True
-            located.add(scan.location)
-            for node in range(spec.n):
-                present[node][t * spec.p:(t + 1) * spec.p] = scan.stripe.column(node)
+        node, values = found
+        cols[node][lo:hi] = values
+        located.add(node)
 
-    if not dirty:
+    if not located:
         print("no error")
         return 0
     for node in sorted(located):
         files.write_node_file(os.path.join(args.dir, files.node_filename(node)),
-                              present[node], spec.field.q)
+                              cols[node], spec.field.q)
         print(f"corrected node_{node:02d}")
     return 0
 
@@ -349,9 +335,6 @@ def main(argv=None) -> int:
     except files.FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except codec.CodecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -1,19 +1,18 @@
 """Encoding, single-node rebuild with access accounting, erasure decoding,
-and single-column error location/correction.
+and single-column error location/correction, one stripe at a time.
 
 A stripe is the p x k information array plus the r parity columns.  Parity
 index 0 holds plain row sums; parity index s holds the coefficient-weighted
-sums over the sets induced by the family's shift-by-s permutations.
+sums over the sets induced by the family's shift-by-s permutations.  Every
+operation runs through the spec's compiled plan (`zzmds.plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .construct import CodeSpec
-from .gf import SingularMatrixError, solve_equations, solve_linear
-from .perms import perm_apply
+from .plan import RebuildPlan
 
 
 class CodecError(ValueError):
@@ -63,23 +62,24 @@ def _check_info(spec: CodeSpec, info) -> None:
             spec.field.check(a)
 
 
-def _parity_column(spec: CodeSpec, info, sidx: int) -> list:
-    f = spec.field
-    out = [0] * spec.p
-    for row in range(spec.p):
-        for col in range(spec.k):
-            target = spec.zigzag_index(row, col, sidx)
-            term = f.mul(spec.coefficient(row, col, sidx), info[row][col])
-            out[target] = f.add(out[target], term)
-    return out
+def _columns(stripe: Stripe, erased=()) -> list:
+    """The stripe's n node columns, the plan's layout.  Every symbol of a
+    node not named in `erased` is checked to be a field element first."""
+    spec = stripe.spec
+    cols = [stripe.column(node) for node in range(spec.n)]
+    for node, col in enumerate(cols):
+        if node not in erased:
+            for a in col:
+                spec.field.check(a)
+    return cols
 
 
 def encode(spec: CodeSpec, info) -> Stripe:
     """Fill the r parity columns from a p x k information array."""
     _check_info(spec, info)
     info = [row[:] for row in info]
-    parity = [_parity_column(spec, info, sidx) for sidx in range(spec.r)]
-    return Stripe(spec, info, parity)
+    cols = [[row[col] for row in info] for col in range(spec.k)]
+    return Stripe(spec, info, spec.plan.encode(cols, 1))
 
 
 def syndrome(spec: CodeSpec, stripe: Stripe) -> list:
@@ -87,39 +87,10 @@ def syndrome(spec: CodeSpec, stripe: Stripe) -> list:
 
     All zero exactly when the stripe is consistent.
     """
-    f = spec.field
-    out = []
-    for sidx in range(spec.r):
-        fresh = _parity_column(spec, stripe.info, sidx)
-        out.append([f.sub(fresh[x], stripe.parity[sidx][x]) for x in range(spec.p)])
-    return out
+    return spec.plan.syndrome(_columns(stripe), 1)
 
 
-@dataclass
-class RebuildPlan:
-    """What a single-node rebuild read: per-parity row assignment for the
-    erased column and the exact set of cells touched per surviving node."""
-
-    erased: int
-    rows_by_parity: list          # for a systematic target; [] entries for parity targets
-    access: dict                  # node index -> sorted tuple of rows read
-
-    @property
-    def cells_read(self) -> int:
-        return sum(len(rows) for rows in self.access.values())
-
-    def cells_in(self, node: int) -> int:
-        return len(self.access.get(node, ()))
-
-    def ratio(self, spec: CodeSpec) -> Fraction:
-        """Fraction of the surviving array read; a full parity recompute
-        reads every information cell and reports 1."""
-        if self.erased >= spec.k:
-            return Fraction(1)
-        return Fraction(self.cells_read, spec.p * (spec.n - 1))
-
-
-def rebuild_one(spec: CodeSpec, stripe: Stripe, erased: int):
+def rebuild_one(spec: CodeSpec, stripe: Stripe, erased: int) -> tuple[list, RebuildPlan]:
     """Rebuild one erased node, reading as little of the survivors as the
     family allows.  Returns (column values, RebuildPlan).
 
@@ -127,191 +98,28 @@ def rebuild_one(spec: CodeSpec, stripe: Stripe, erased: int):
     parity s; every cell read is recorded once, even when several sets share
     it.  An erased parity node is recomputed from all information cells.
     """
-    f = spec.field
     if erased < 0 or erased >= spec.n:
         raise CodecError(f"node {erased} out of range")
-    if erased >= spec.k:
-        sidx = erased - spec.k
-        values = _parity_column(spec, stripe.info, sidx)
-        access = {col: tuple(range(spec.p)) for col in range(spec.k)}
-        return values, RebuildPlan(erased, [], access)
-
-    values = [None] * spec.p
-    rows_by_parity = []
-    touched = {}
-
-    def read(node, row):
-        touched.setdefault(node, set()).add(row)
-
-    for sidx in range(spec.r):
-        rows = sorted(spec.access_rows(erased, sidx))
-        rows_by_parity.append(rows)
-        for x in rows:
-            zidx = spec.zigzag_index(x, erased, sidx)
-            read(spec.k + sidx, zidx)
-            total = stripe.parity[sidx][zidx]
-            for col in range(spec.k):
-                if col == erased:
-                    continue
-                y = spec.source_row(zidx, col, sidx)
-                read(col, y)
-                term = f.mul(spec.coefficient(y, col, sidx), stripe.info[y][col])
-                total = f.sub(total, term)
-            values[x] = f.mul(f.inv(spec.coefficient(x, erased, sidx)), total)
-
-    access = {node: tuple(sorted(rows)) for node, rows in touched.items()}
-    return values, RebuildPlan(erased, rows_by_parity, access)
-
-
-def _decode_generic(spec: CodeSpec, stripe: Stripe, erased_sys, erased_par) -> Stripe:
-    """Dense-solver fallback: solve the erased cells from every surviving
-    parity constraint, then recompute erased parities."""
-    f = spec.field
-    p = spec.p
-    slot = {col: i for i, col in enumerate(erased_sys)}
-    equations = []
-    rhs = []
-    for sidx in range(spec.r):
-        if sidx in erased_par:
-            continue
-        for zidx in range(p):
-            row = {}
-            b = stripe.parity[sidx][zidx]
-            for col in range(spec.k):
-                y = spec.source_row(zidx, col, sidx)
-                coeff = spec.coefficient(y, col, sidx)
-                if col in slot:
-                    row[slot[col] * p + y] = coeff
-                else:
-                    b = f.sub(b, f.mul(coeff, stripe.info[y][col]))
-            equations.append(row)
-            rhs.append(b)
-    solution = solve_equations(f, equations, rhs, len(erased_sys) * p)
-    out = stripe.copy()
-    for col, i in slot.items():
-        for y in range(p):
-            out.info[y][col] = solution[i * p + y]
-    for sidx in erased_par:
-        out.parity[sidx] = _parity_column(spec, out.info, sidx)
-    return out
-
-
-def _residuals(spec: CodeSpec, stripe: Stripe, skip_cols):
-    """Row/zigzag sums with the named columns left out (r=2 helper)."""
-    f = spec.field
-    x_res = list(stripe.parity[0])
-    y_res = list(stripe.parity[1])
-    for col in range(spec.k):
-        if col in skip_cols:
-            continue
-        for row in range(spec.p):
-            x_res[row] = f.sub(x_res[row], stripe.info[row][col])
-            zidx = spec.zigzag_index(row, col, 1)
-            term = f.mul(spec.coefficient(row, col, 1), stripe.info[row][col])
-            y_res[zidx] = f.sub(y_res[zidx], term)
-    return x_res, y_res
-
-
-def _decode_two_systematic(spec: CodeSpec, stripe: Stripe, j1: int, j2: int) -> Stripe:
-    """The r=2 block solve for two lost information columns."""
-    f = spec.field
-    p = spec.p
-    x_res, y_res = _residuals(spec, stripe, {j1, j2})
-    out = stripe.copy()
-    v1 = spec.vector_for(j1)
-    v2 = spec.vector_for(j2)
-    if v1 == v2:
-        # Same permutation (duplicated copies): independent 2x2 systems per row.
-        for i in range(p):
-            b1 = spec.coefficient(i, j1, 1)
-            b2 = spec.coefficient(i, j2, 1)
-            sol = solve_linear(f, [[1, 1], [b1, b2]],
-                               [x_res[i], y_res[spec.zigzag_index(i, j1, 1)]])
-            out.info[i][j1], out.info[i][j2] = sol
-        return out
-    # Distinct permutations couple row i with row i + v1 + v2.
-    done = set()
-    for i in range(p):
-        if i in done:
-            continue
-        i2 = perm_apply(v1, 1, perm_apply(v2, 1, i))  # i + v1 + v2
-        done.add(i)
-        done.add(i2)
-        b_i_1 = spec.coefficient(i, j1, 1)
-        b_i_2 = spec.coefficient(i, j2, 1)
-        b_i2_1 = spec.coefficient(i2, j1, 1)
-        b_i2_2 = spec.coefficient(i2, j2, 1)
-        matrix = [[1, 1, 0, 0],
-                  [0, 0, 1, 1],
-                  [b_i_1, 0, 0, b_i2_2],
-                  [0, b_i_2, b_i2_1, 0]]
-        rhs = [x_res[i], x_res[i2],
-               y_res[spec.zigzag_index(i, j1, 1)],
-               y_res[spec.zigzag_index(i2, j1, 1)]]
-        sol = solve_linear(f, matrix, rhs)
-        out.info[i][j1], out.info[i][j2] = sol[0], sol[1]
-        out.info[i2][j1], out.info[i2][j2] = sol[2], sol[3]
-    return out
-
-
-def _decode_one_sys_one_parity(spec: CodeSpec, stripe: Stripe, col: int, par: int) -> Stripe:
-    """r=2: rebuild the information column through the surviving parity,
-    then recompute the lost parity."""
-    f = spec.field
-    keep = 1 - par
-    out = stripe.copy()
-    for x in range(spec.p):
-        zidx = spec.zigzag_index(x, col, keep)
-        total = stripe.parity[keep][zidx]
-        for other in range(spec.k):
-            if other == col:
-                continue
-            y = spec.source_row(zidx, other, keep)
-            total = f.sub(total, f.mul(spec.coefficient(y, other, keep),
-                                       stripe.info[y][other]))
-        out.info[x][col] = f.mul(f.inv(spec.coefficient(x, col, keep)), total)
-    out.parity[par] = _parity_column(spec, out.info, par)
-    return out
+    values = spec.plan.rebuild(_columns(stripe, (erased,)), 1, erased)
+    return values, spec.plan.rebuild_plan(erased)
 
 
 def decode_erasures(spec: CodeSpec, stripe: Stripe, erased) -> Stripe:
     """Restore up to r erased columns.  Erased entries of `stripe` are ignored.
 
-    The r=2 one- and two-erasure cases use the structured block solves; any
-    other pattern (and any structured system that comes out singular, which a
-    user-supplied table can produce) goes through the generic solver.
+    Raises SingularMatrixError when the pattern is not decodable, which a
+    user-supplied coefficient table can cause.
     """
     erased = sorted(set(erased))
     if any(c < 0 or c >= spec.n for c in erased):
         raise CodecError("erased node out of range")
     if len(erased) > spec.r:
         raise CodecError(f"cannot decode {len(erased)} erasures with r={spec.r}")
-    if not erased:
-        return stripe.copy()
-
-    erased_sys = [c for c in erased if c < spec.k]
-    erased_par = [c - spec.k for c in erased if c >= spec.k]
-
-    if not erased_sys:
-        out = stripe.copy()
-        for sidx in erased_par:
-            out.parity[sidx] = _parity_column(spec, out.info, sidx)
-        return out
-
-    if len(erased) == 1:
-        values, _ = rebuild_one(spec, stripe, erased[0])
-        out = stripe.copy()
-        out.set_column(erased[0], values)
-        return out
-
-    if spec.r == 2 and len(erased_sys) == 2:
-        try:
-            return _decode_two_systematic(spec, stripe, erased_sys[0], erased_sys[1])
-        except SingularMatrixError:
-            return _decode_generic(spec, stripe, erased_sys, erased_par)
-    if spec.r == 2 and len(erased_sys) == 1 and len(erased_par) == 1:
-        return _decode_one_sys_one_parity(spec, stripe, erased_sys[0], erased_par[0])
-    return _decode_generic(spec, stripe, erased_sys, erased_par)
+    out = stripe.copy()
+    if erased:
+        for node, values in spec.plan.decode(_columns(stripe, erased), 1, erased).items():
+            out.set_column(node, values)
+    return out
 
 
 @dataclass
@@ -322,33 +130,20 @@ class ErrorScan:
 
 
 def decode_error(spec: CodeSpec, stripe: Stripe) -> ErrorScan:
-    """Locate and correct at most one corrupted column (r=2 codes only).
+    """Locate and correct at most one corrupted column.
 
-    Zero syndromes mean a clean stripe; a single zero syndrome pins the
-    corruption to the matching parity column, which is recomputed.  Otherwise
-    each information column j is tested: the row syndrome scaled by column
-    j's coefficients and carried along its permutation must reproduce the
-    zigzag syndrome exactly.  No match means more than one column is bad.
+    Zero syndromes mean a clean stripe.  Otherwise each node in turn is
+    erased and decoded from the others; the one whose replacement zeroes the
+    syndrome is the corrupted one.  No such node means more than one column
+    is bad.
     """
-    if spec.r != 2:
-        raise CodecError("error location is defined for r=2 codes only")
-    f = spec.field
-    s0, s1 = syndrome(spec, stripe)
-    z0 = all(v == 0 for v in s0)
-    z1 = all(v == 0 for v in s1)
-    if z0 and z1:
+    cols = _columns(stripe)
+    if not any(map(any, spec.plan.syndrome(cols, 1))):
         return ErrorScan("clean", None, stripe.copy())
-    if z0 != z1:
-        out = stripe.copy()
-        sidx = 0 if z1 else 1
-        out.parity[sidx] = _parity_column(spec, out.info, sidx)
-        return ErrorScan("corrected", spec.k + sidx, out)
-    for j in range(spec.k):
-        scaled = [f.mul(spec.coefficient(i, j, 1), s0[i]) for i in range(spec.p)]
-        carried = [scaled[spec.source_row(i, j, 1)] for i in range(spec.p)]
-        if carried == s1:
-            out = stripe.copy()
-            for i in range(spec.p):
-                out.info[i][j] = f.sub(out.info[i][j], s0[i])
-            return ErrorScan("corrected", j, out)
-    return ErrorScan("uncorrectable", None, stripe.copy())
+    found = spec.plan.locate(cols)
+    if found is None:
+        return ErrorScan("uncorrectable", None, stripe.copy())
+    node, values = found
+    out = stripe.copy()
+    out.set_column(node, values)
+    return ErrorScan("corrected", node, out)

@@ -23,6 +23,7 @@ The first parity (index 0) always uses unit coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .gf import Field, column_rank, field_create, gf9, is_prime
@@ -107,6 +108,13 @@ class CodeSpec:
 
     def is_parity_node(self, node: int) -> bool:
         return node >= self.k
+
+    @cached_property
+    def plan(self):
+        """The code compiled into tables and gather lists (`zzmds.plan`),
+        built on first use and kept for the life of this spec."""
+        from .plan import CodePlan
+        return CodePlan(self)
 
     def __repr__(self):
         return (f"CodeSpec(scheme={self.scheme}, m={self.m}, r={self.r}, "

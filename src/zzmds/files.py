@@ -174,10 +174,14 @@ def read_node_file(path: str, q: int):
 
 
 def read_columns(directory: str, spec: CodeSpec):
-    """Symbols of every node file that exists: {node index: symbol list}."""
+    """Symbols of every node file that exists: {node index: symbol list}, or
+    None for a file that holds no whole number of symbols."""
     out = {}
     for i in range(spec.n):
         path = os.path.join(directory, node_filename(i))
         if os.path.exists(path):
-            out[i] = read_node_file(path, spec.field.q)
+            try:
+                out[i] = read_node_file(path, spec.field.q)
+            except FormatError:
+                out[i] = None
     return out

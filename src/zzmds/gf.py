@@ -5,8 +5,10 @@ the residue itself.  For an extension field GF(p^w) it encodes the residue
 polynomial's coefficient vector, constant term first, read as a base-p
 integer (so for GF(2^w) the integer IS the coefficient bit-vector).
 
-Everything is computed structurally on small ints; there are no log/exp
-tables and no floating point anywhere.
+Everything here is computed structurally on small ints, with no floating
+point anywhere.  This is the single definition of the arithmetic: the lookup
+tables a compiled code runs on (`zzmds.plan`) are derived from it and tested
+against it exhaustively.
 """
 
 from __future__ import annotations

@@ -1,0 +1,283 @@
+"""A code compiled once into integers: arithmetic tables, gather lists, and the
+one kernel that runs them over stripes.
+
+Everything here follows from the structural `Field` and `CodeSpec` alone,
+never from the data, so it is built once per spec (`CodeSpec.plan`, on first
+use) instead of once per stripe or cell.
+
+Node columns are flat symbol lists, stripe t holding rows [t*p, (t+1)*p) of
+the node, the same layout as the node files.  A gather list computes one
+output column of a stripe: entry x lists the (node, row, mul row) terms of
+output row x, whose value is the field sum of mul_row[column[node][row]].
+Encode, syndrome, rebuild and decode are all gather lists; they differ only
+in the cells they read and the coefficients they read them with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
+
+from .gf import SingularMatrixError, _eliminate
+
+# Fields up to this size get materialised q x q tables (two of at most 65536
+# entries).  Larger ones, which only explicit prime-field configs reach, read
+# the same rows computed on access instead.
+TABLE_MAX_Q = 256
+
+
+@dataclass(frozen=True)
+class RebuildPlan:
+    """What a single-node rebuild reads: per-parity row assignment for the
+    erased column and the exact set of cells touched per surviving node."""
+
+    erased: int
+    rows_by_parity: list          # for a systematic target; [] for parity targets
+    access: dict                  # node index -> sorted tuple of rows read
+
+    @property
+    def cells_read(self) -> int:
+        return sum(len(rows) for rows in self.access.values())
+
+    def cells_in(self, node: int) -> int:
+        return len(self.access.get(node, ()))
+
+    def ratio(self, spec) -> Fraction:
+        """Fraction of the surviving array read; a full parity recompute
+        reads every information cell and reports 1."""
+        if self.erased >= spec.k:
+            return Fraction(1)
+        return Fraction(self.cells_read, spec.p * (spec.n - 1))
+
+
+class _Computed:
+    """op(a, b) read as rows[a][b], for fields too large to tabulate."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a=None):
+        self.op, self.a = op, a
+
+    def __getitem__(self, i):
+        if self.a is None:
+            return _Computed(self.op, i)
+        return self.op(self.a, i)
+
+
+def _mul_table(field):
+    """The q x q product table, through discrete logarithms to the field's
+    primitive element: q - 2 field multiplications instead of q^2."""
+    q = field.q
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(field.mul(exp[-1], field.primitive))
+    log = {v: i for i, v in enumerate(exp)}
+    return [[0] * q] + [[0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
+                        for a in range(1, q)]
+
+
+class CodePlan:
+    """Tables, gather lists and decode maps of one CodeSpec."""
+
+    def __init__(self, spec):
+        field = spec.field
+        q = field.q
+        # A copy, so that spec -> plan -> spec is no reference cycle and a
+        # spec that goes out of use frees its plan at once.
+        self.spec, self.field = replace(spec), field
+        self.p, self.k, self.r, self.n = spec.p, spec.k, spec.r, spec.n
+        if q <= TABLE_MAX_Q:
+            self.add = [[field.add(a, b) for b in range(q)] for a in range(q)]
+            self.mul = _mul_table(field)
+        else:
+            self.add, self.mul = _Computed(field.add), _Computed(field.mul)
+        self.neg = [field.neg(a) for a in range(q)]
+        self._targets = {}    # node -> (gather list, RebuildPlan)
+        self._decoders = {}   # erased pattern -> gather lists of its systematic columns
+
+    # -- the kernel -----------------------------------------------------------
+
+    def run(self, gathers, cols, nstripes: int) -> list:
+        """Apply one gather list per output column to every stripe of the node
+        columns `cols`; returns the output columns.  Only the cells the terms
+        name are read, so lost nodes may be None in `cols`."""
+        p, add = self.p, self.add
+        end = nstripes * p
+        outs = []
+        for gather in gathers:
+            cells = [(x, [(cols[node], row, mrow) for node, row, mrow in terms])
+                     for x, terms in enumerate(gather)]
+            out = [0] * end
+            for base in range(0, end, p):
+                for x, terms in cells:
+                    acc = 0
+                    for col, row, mrow in terms:
+                        acc = add[acc][mrow[col[base + row]]]
+                    out[base + x] = acc
+            outs.append(out)
+        return outs
+
+    # -- operations -----------------------------------------------------------
+
+    def encode(self, cols, nstripes: int) -> list:
+        """The r parity columns of the k information columns."""
+        return self.run(self.parity, cols, nstripes)
+
+    def syndrome(self, cols, nstripes: int) -> list:
+        """Per parity, recomputed minus stored parity; all zero exactly on
+        consistent stripes."""
+        return self.run(self._syndrome, cols, nstripes)
+
+    def rebuild(self, cols, nstripes: int, node: int) -> list:
+        """Column `node` from the cells its RebuildPlan reads."""
+        return self.run([self._target(node)[0]], cols, nstripes)[0]
+
+    def rebuild_plan(self, node: int) -> RebuildPlan:
+        return self._target(node)[1]
+
+    def decode(self, cols, nstripes: int, erased) -> dict:
+        """{node: column} for every erased node, from the surviving columns.
+
+        Erased systematic columns come from the pattern's decode map, then
+        erased parities are encoded again.  Raises SingularMatrixError when
+        the surviving columns do not determine the erased ones.
+        """
+        erased = tuple(sorted(erased))
+        lost = [c for c in erased if c < self.k]
+        parities = [c for c in erased if c >= self.k]
+        cols = list(cols)
+        if lost:
+            if erased not in self._decoders:
+                self._decoders[erased] = self._decoder(erased)
+            for node, col in zip(lost, self.run(self._decoders[erased], cols, nstripes)):
+                cols[node] = col
+        gathers = [self.parity[c - self.k] for c in parities]
+        for node, col in zip(parities, self.run(gathers, cols, nstripes)):
+            cols[node] = col
+        return {node: cols[node] for node in erased}
+
+    def locate(self, cols):
+        """For one stripe (node columns of p symbols) with a nonzero syndrome:
+        (node, corrected column) for the node whose rebuild from the others
+        makes the stripe consistent, or None when no single node does.
+
+        Column distance r + 1 >= 3 leaves at most one such node for a
+        corruption confined to one column.
+        """
+        for node in range(self.n):
+            fixed = self.rebuild(cols, 1, node)
+            trial = cols[:node] + [fixed] + cols[node + 1:]
+            if not any(map(any, self.syndrome(trial, 1))):
+                return node, fixed
+        return None
+
+    # -- construction ---------------------------------------------------------
+
+    @cached_property
+    def _sets(self) -> list:
+        """sets[s][z]: the members of zigzag set z of parity s, one
+        (column, row, coefficient) per information column, in column order."""
+        spec = self.spec
+        out = []
+        for sidx in range(self.r):
+            sets = []
+            for z in range(self.p):
+                members = []
+                for col in range(self.k):
+                    y = spec.source_row(z, col, sidx)
+                    members.append((col, y, spec.coefficient(y, col, sidx)))
+                sets.append(members)
+            out.append(sets)
+        return out
+
+    @cached_property
+    def parity(self) -> list:
+        """Per parity, the gather list of its zigzag sets."""
+        mul = self.mul
+        return [[[(col, y, mul[c]) for col, y, c in members] for members in sets]
+                for sets in self._sets]
+
+    @cached_property
+    def _syndrome(self) -> list:
+        minus_one = self.mul[self.neg[1]]
+        return [[terms + [(self.k + sidx, z, minus_one)] for z, terms in enumerate(gather)]
+                for sidx, gather in enumerate(self.parity)]
+
+    def _target(self, node: int):
+        if node not in self._targets:
+            self._targets[node] = self._build_target(node)
+        return self._targets[node]
+
+    def _build_target(self, j: int):
+        """(gather list, RebuildPlan) for one node.  A parity is encoded
+        again from every information cell.  Row x of a systematic column is
+        read through the one parity s whose access set holds it:
+        x = inv(c_x) * (parity cell - sum of the other cells of its set), with
+        inv(c_x) folded into every coefficient."""
+        p, k, mul, neg = self.p, self.k, self.mul, self.neg
+        if j >= k:
+            return self.parity[j - k], RebuildPlan(j, [], {c: tuple(range(p)) for c in range(k)})
+        gather = [None] * p
+        rows_by_parity = []
+        touched = {}
+        for sidx, sets in enumerate(self._sets):
+            rows = self.spec.access_rows(j, sidx)
+            rows_by_parity.append(sorted(rows))
+            for z, members in enumerate(sets):
+                _, x, cx = members[j]
+                if x not in rows:
+                    continue
+                ic = self.field.inv(cx)
+                minus_ic = mul[neg[ic]]
+                terms = [(k + sidx, z, mul[ic])]
+                terms += [(col, y, mul[minus_ic[c]]) for col, y, c in members if col != j]
+                gather[x] = terms
+                for node, row, _ in terms:
+                    touched.setdefault(node, set()).add(row)
+        access = {node: tuple(sorted(rows)) for node, rows in touched.items()}
+        return gather, RebuildPlan(j, rows_by_parity, access)
+
+    def _decoder(self, erased):
+        """Gather lists of the erased systematic columns, each cell a
+        combination of surviving cells.
+
+        Every surviving parity cell gives one equation: the erased cells of
+        its set, weighted, equal its residual (the parity cell minus the
+        surviving cells of the set).  One Gauss-Jordan pass over [M | I]
+        expresses each erased cell in the residuals, which are then expanded
+        into surviving cells.
+        """
+        p, k, add, mul, neg = self.p, self.k, self.add, self.mul, self.neg
+        lost = [c for c in erased if c < k]
+        slot = {col: i for i, col in enumerate(lost)}
+        unknowns = len(lost) * p
+        equations, residuals = [], []
+        for sidx, sets in enumerate(self._sets):
+            if k + sidx in erased:
+                continue
+            for z, members in enumerate(sets):
+                equation = {unknowns + len(equations): 1}
+                residual = {(k + sidx, z): 1}
+                for col, y, c in members:
+                    if col in slot:
+                        equation[slot[col] * p + y] = c
+                    else:
+                        residual[(col, y)] = neg[c]
+                equations.append(equation)
+                residuals.append(residual)
+        arithmetic = SimpleNamespace(mul=lambda a, b: mul[a][b],
+                                     sub=lambda a, b: add[a][neg[b]], inv=self.field.inv)
+        pivots = _eliminate(arithmetic, equations, None)
+        if any(u not in pivots for u in range(unknowns)):
+            raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
+        cells = []
+        for u in range(unknowns):
+            coeffs = {}
+            for col, d in pivots[u][0].items():
+                if col >= unknowns:
+                    for cell, c in residuals[col - unknowns].items():
+                        coeffs[cell] = add[coeffs.get(cell, 0)][mul[d][c]]
+            cells.append([(node, row, mul[c]) for (node, row), c in sorted(coeffs.items()) if c])
+        return [cells[i * p:(i + 1) * p] for i in range(len(lost))]

@@ -177,6 +177,72 @@ def test_scrub_two_corrupted_nodes_uncorrectable(workdir, capsys):
     assert "uncorrectable" in capsys.readouterr().out
 
 
+def test_rebuild_with_truncated_survivor(workdir, capsys):
+    path = node_path(workdir, 2)
+    write(path, read(path)[:-5])
+    os.remove(node_path(workdir, 1))
+    rc = cli.main(["rebuild", str(workdir / "nodes")])
+    err = capsys.readouterr().err
+    assert rc in (2, 3)
+    assert "node_02" in err and "Traceback" not in err
+
+
+def test_decode_with_inflated_stripe_count(workdir, capsys):
+    manifest = workdir / "nodes" / "manifest"
+    blob = bytearray(read(manifest))
+    count = int.from_bytes(blob[-4:], "little")   # stripe count: the last u32
+    blob[-4:] = (count + 7).to_bytes(4, "little")
+    write(manifest, bytes(blob))
+    os.remove(node_path(workdir, 0))
+    rc = cli.main(["decode", str(workdir / "nodes"), "--out", str(workdir / "back.bin")])
+    assert rc in (2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_scrub_restores_truncated_node(workdir, capsys):
+    before = snapshot(workdir)
+    write(node_path(workdir, 2), before[2][:-5])
+    rc = cli.main(["scrub", str(workdir / "nodes")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "corrected node_02" in out
+    assert snapshot(workdir) == before
+
+
+def test_scrub_restores_partial_wide_symbol_node(tmp_path, capsys):
+    # gf(257) stores two bytes per symbol; an odd-length file is lost, not fatal
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text("family=standard\nm=1\ns=2\nscheme=cons4\nfield=gf(257)\n")
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(bytes(range(200)))
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    before = read(out / node_filename(1))
+    write(out / node_filename(1), before[:-1])
+    capsys.readouterr()
+    assert cli.main(["scrub", str(out)]) == 0
+    assert "corrected node_01" in capsys.readouterr().out
+    assert read(out / node_filename(1)) == before
+
+
+def test_scrub_locates_corrupted_node_three_parities(tmp_path, capsys):
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text("family=standard\nm=2\nr=3\nscheme=r3\n")
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(bytes(random.Random(7).randrange(256) for _ in range(300)))
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    before = {i: read(out / node_filename(i)) for i in range(6)}   # k=3, r=3
+    blob = bytearray(before[1])
+    for pos in range(0, 60, 11):
+        blob[pos] = (blob[pos] + 1) % 7   # stay inside the gf(7) alphabet
+    write(out / node_filename(1), bytes(blob))
+    capsys.readouterr()
+    assert cli.main(["scrub", str(out)]) == 0
+    assert "corrected node_01" in capsys.readouterr().out
+    assert {i: read(out / node_filename(i)) for i in range(6)} == before
+
+
 def test_empty_payload(tmp_path, capsys):
     cfg = tmp_path / "code.cfg"
     cfg.write_text(CONFIG_53)

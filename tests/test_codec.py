@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from zzmds import gf
@@ -43,7 +46,22 @@ SPECS = {
         "cons4", m=2, s=3, field=gf.field_create("prime", 5)),
     "weightw-m3": lambda: build_code("weightw", family="weightw", m=3, w=3),
     "r3-m2": lambda: build_code("r3", m=2),
+    # past the plan's table limit: arithmetic read through computed rows
+    "cons4-m1-s2-gf257": lambda: build_code(
+        "cons4", m=1, s=2, field=gf.field_create("prime", 257)),
 }
+
+
+@cache
+def built(name):
+    """One spec per name, so that its plan is compiled once for all examples."""
+    return SPECS[name]()
+
+
+def drawn_stripe(data, spec):
+    q = spec.field.q
+    row = st.lists(st.integers(0, q - 1), min_size=spec.k, max_size=spec.k)
+    return encode(spec, data.draw(st.lists(row, min_size=spec.p, max_size=spec.p), label="info"))
 
 
 @pytest.fixture(params=sorted(SPECS), ids=sorted(SPECS))
@@ -305,8 +323,47 @@ def test_decode_error_two_columns():
     assert uncorrectable > 20  # aliasing is the exception, not the rule
 
 
-def test_decode_error_needs_two_parities():
+def test_decode_error_locates_with_three_parities():
     spec = build_code("r3", m=2)
-    stripe = encode(spec, [[0] * spec.k for _ in range(spec.p)])
-    with pytest.raises(CodecError):
-        decode_error(spec, stripe)
+    rng = random.Random(53)
+    stripe = encode(spec, random_info(spec, rng))
+    for node in range(spec.n):
+        bad = stripe.copy()
+        col = bad.column(node)
+        for x in rng.sample(range(spec.p), rng.randrange(1, spec.p + 1)):
+            col[x] = spec.field.add(col[x], rng.randrange(1, spec.field.q))
+        bad.set_column(node, col)
+        scan = decode_error(spec, bad)
+        assert scan.status == "corrected" and scan.location == node
+        assert scan.stripe == stripe
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_erasures_decode_exactly(name, data):
+    spec = built(name)
+    stripe = drawn_stripe(data, spec)
+    assert stripe.parity == [oracles.parity_by_definition(spec, stripe.info, sidx)
+                             for sidx in range(spec.r)]
+    size = data.draw(st.integers(0, spec.r), label="size")
+    erased = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=size, max_size=size,
+                                unique=True), label="erased")
+    assert decode_erasures(spec, poisoned(stripe, erased), erased) == stripe
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_property_single_column_corruption_corrected(name, data):
+    spec = built(name)
+    f = spec.field
+    stripe = drawn_stripe(data, spec)
+    node = data.draw(st.integers(0, spec.n - 1), label="node")
+    delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=spec.p, max_size=spec.p)
+                      .filter(any), label="delta")
+    bad = stripe.copy()
+    bad.set_column(node, [f.add(a, d) for a, d in zip(bad.column(node), delta)])
+    scan = decode_error(spec, bad)
+    assert (scan.status, scan.location) == ("corrected", node)
+    assert scan.stripe == stripe

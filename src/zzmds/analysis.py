@@ -157,10 +157,8 @@ class RatioReport:
         return "\n".join(out)
 
 
-def ratio_report(spec: CodeSpec, measure: bool = None) -> RatioReport:
-    if measure is None:
-        measure = spec.p * spec.k <= MAX_MEASURE_CELLS
-    if measure:
+def ratio_report(spec: CodeSpec) -> RatioReport:
+    if spec.p * spec.k <= MAX_MEASURE_CELLS:
         plans, measured = measure_rebuild(spec)
         cells = [plan.cells_read for plan in plans]
     else:

@@ -12,7 +12,7 @@ import sys
 
 from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
-from .gf import FieldError, field_from_token
+from .gf import FieldError, SingularMatrixError, field_from_token
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
 
@@ -78,28 +78,14 @@ def _load_dir(directory):
 def _read_nodes(directory, spec, mf):
     """Node files that can be used as stored: ({node: symbols}, [invalid nodes]).
 
-    A file whose symbol count is not stripe_count * p (or not whole), or
-    that holds a symbol outside the field, is left out with a warning and so counts as
-    an erasure: the plan's kernels index columns by stripe offset and tables
-    by symbol, and check neither.
+    An invalid file (`files.read_columns`) is left out with a warning and so
+    counts as an erasure.
     """
-    columns = files.read_columns(directory, spec)
-    want, q = mf.stripe_count * spec.p, spec.field.q
-    invalid = []
-    for node, symbols in sorted(columns.items()):
-        if symbols is None:
-            problem = "a partial symbol"
-        elif len(symbols) != want:
-            problem = f"{len(symbols)} symbols, not {want}"
-        elif symbols and max(symbols) >= q:
-            problem = f"a symbol outside {spec.field.token}"
-        else:
-            continue
+    columns, problems = files.read_columns(directory, spec, mf.stripe_count)
+    for node, problem in sorted(problems.items()):
         print(f"warning: {files.node_filename(node)} holds {problem}; treating it as lost",
               file=sys.stderr)
-        invalid.append(node)
-        del columns[node]
-    return columns, invalid
+    return columns, sorted(problems)
 
 
 def _fraction_str(fr):
@@ -147,6 +133,8 @@ def _decode_payload(spec, mf, columns):
 
 def cmd_rebuild(args):
     mf, spec = _load_dir(args.dir)
+    if args.node is not None and not 0 <= args.node < spec.n:
+        raise CliError("missing node index out of range")
     present, _ = _read_nodes(args.dir, spec, mf)
     missing = [i for i in range(spec.n) if i not in present]
     if len(missing) != 1:
@@ -217,7 +205,6 @@ def cmd_scrub(args):
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
                        f"directory (use rebuild/decode first)")
 
-    plan, p = spec.plan, spec.p
     # Invalid nodes cannot even enter the syndrome computation; restore
     # them as erasures first.
     if len(invalid) > spec.r:
@@ -225,22 +212,13 @@ def cmd_scrub(args):
         return 2
     cols = [present.get(i) for i in range(spec.n)]
     if invalid:
-        for node, col in plan.decode(cols, mf.stripe_count, invalid).items():
+        for node, col in spec.plan.decode(cols, mf.stripe_count, invalid).items():
             cols[node] = col
-    located = set(invalid)
-    syndromes = plan.syndrome(cols, mf.stripe_count)
-    for t in range(mf.stripe_count):
-        lo, hi = t * p, (t + 1) * p
-        if not any(any(s[lo:hi]) for s in syndromes):
-            continue
-        found = plan.locate([col[lo:hi] for col in cols])
-        if found is None:
-            print(f"stripe {t}: uncorrectable (more than one corrupted column)")
-            return 2
-        node, values = found
-        cols[node][lo:hi] = values
-        located.add(node)
-
+    fixed, bad = spec.plan.correct(cols, mf.stripe_count)
+    if bad is not None:
+        print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
+        return 2
+    located = set(invalid) | set(fixed.values())
     if not located:
         print("no error")
         return 0
@@ -335,6 +313,10 @@ def main(argv=None) -> int:
     except files.FormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except SingularMatrixError as e:
+        # a config can parse and still not be MDS: its pattern is undecodable
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Encoding, single-node rebuild with access accounting, erasure decoding,
 and single-column error location/correction, one stripe at a time.
 
-A stripe is the p x k information array plus the r parity columns.  Parity
-index 0 holds plain row sums; parity index s holds the coefficient-weighted
-sums over the sets induced by the family's shift-by-s permutations.  Every
-operation runs through the spec's compiled plan (`zzmds.plan`).
+A stripe is a list of n node columns of p symbols each, the k information
+columns first, then the r parity columns: the layout of the plan and of the
+node files.  Parity index 0 holds plain row sums; parity index s holds the
+coefficient-weighted sums over the sets induced by the family's shift-by-s
+permutations.  Every operation runs through the spec's compiled plan
+(`zzmds.plan`).
 """
 
 from __future__ import annotations
@@ -19,78 +21,39 @@ class CodecError(ValueError):
     pass
 
 
-@dataclass
-class Stripe:
-    spec: CodeSpec
-    info: list     # p rows x k columns
-    parity: list   # r columns of length p
-
-    def copy(self) -> "Stripe":
-        return Stripe(self.spec, [row[:] for row in self.info],
-                      [col[:] for col in self.parity])
-
-    def column(self, node: int) -> list:
-        """The p symbols stored on one node (systematic or parity)."""
-        spec = self.spec
-        if node < 0 or node >= spec.n:
-            raise CodecError(f"node {node} out of range")
-        if node < spec.k:
-            return [self.info[x][node] for x in range(spec.p)]
-        return list(self.parity[node - spec.k])
-
-    def set_column(self, node: int, values) -> None:
-        spec = self.spec
-        values = list(values)
-        if len(values) != spec.p:
-            raise CodecError("column length mismatch")
-        if node < spec.k:
-            for x in range(spec.p):
-                self.info[x][node] = values[x]
-        else:
-            self.parity[node - spec.k] = values
-
-    def __eq__(self, other):
-        return (isinstance(other, Stripe) and self.spec == other.spec
-                and self.info == other.info and self.parity == other.parity)
-
-
-def _check_info(spec: CodeSpec, info) -> None:
-    if len(info) != spec.p or any(len(row) != spec.k for row in info):
-        raise CodecError(f"info must be {spec.p} x {spec.k}")
-    for row in info:
-        for a in row:
+def _checked(spec: CodeSpec, columns, count: int, erased=()) -> list:
+    """Copies of `count` node columns, each checked to hold p field elements.
+    Columns named in `erased` are neither checked nor read, and may be None."""
+    if len(columns) != count:
+        raise CodecError(f"expected {count} columns, got {len(columns)}")
+    out = []
+    for node, col in enumerate(columns):
+        if node in erased:
+            out.append(None)
+            continue
+        if len(col) != spec.p:
+            raise CodecError(f"column {node} holds {len(col)} symbols, not {spec.p}")
+        for a in col:
             spec.field.check(a)
+        out.append(list(col))
+    return out
 
 
-def _columns(stripe: Stripe, erased=()) -> list:
-    """The stripe's n node columns, the plan's layout.  Every symbol of a
-    node not named in `erased` is checked to be a field element first."""
-    spec = stripe.spec
-    cols = [stripe.column(node) for node in range(spec.n)]
-    for node, col in enumerate(cols):
-        if node not in erased:
-            for a in col:
-                spec.field.check(a)
-    return cols
+def encode(spec: CodeSpec, info_columns) -> list:
+    """All n columns of the stripe whose k information columns are given."""
+    cols = _checked(spec, info_columns, spec.k)
+    return cols + spec.plan.encode(cols, 1)
 
 
-def encode(spec: CodeSpec, info) -> Stripe:
-    """Fill the r parity columns from a p x k information array."""
-    _check_info(spec, info)
-    info = [row[:] for row in info]
-    cols = [[row[col] for row in info] for col in range(spec.k)]
-    return Stripe(spec, info, spec.plan.encode(cols, 1))
-
-
-def syndrome(spec: CodeSpec, stripe: Stripe) -> list:
+def syndrome(spec: CodeSpec, columns) -> list:
     """Per-parity residuals: recomputed parity minus stored parity.
 
     All zero exactly when the stripe is consistent.
     """
-    return spec.plan.syndrome(_columns(stripe), 1)
+    return spec.plan.syndrome(_checked(spec, columns, spec.n), 1)
 
 
-def rebuild_one(spec: CodeSpec, stripe: Stripe, erased: int) -> tuple[list, RebuildPlan]:
+def rebuild_one(spec: CodeSpec, columns, erased: int) -> tuple[list, RebuildPlan]:
     """Rebuild one erased node, reading as little of the survivors as the
     family allows.  Returns (column values, RebuildPlan).
 
@@ -100,12 +63,13 @@ def rebuild_one(spec: CodeSpec, stripe: Stripe, erased: int) -> tuple[list, Rebu
     """
     if erased < 0 or erased >= spec.n:
         raise CodecError(f"node {erased} out of range")
-    values = spec.plan.rebuild(_columns(stripe, (erased,)), 1, erased)
+    values = spec.plan.rebuild(_checked(spec, columns, spec.n, (erased,)), 1, erased)
     return values, spec.plan.rebuild_plan(erased)
 
 
-def decode_erasures(spec: CodeSpec, stripe: Stripe, erased) -> Stripe:
-    """Restore up to r erased columns.  Erased entries of `stripe` are ignored.
+def decode_erasures(spec: CodeSpec, columns, erased) -> list:
+    """The stripe's n columns with up to r erased ones restored.  Erased
+    entries of `columns` are ignored.
 
     Raises SingularMatrixError when the pattern is not decodable, which a
     user-supplied coefficient table can cause.
@@ -115,21 +79,21 @@ def decode_erasures(spec: CodeSpec, stripe: Stripe, erased) -> Stripe:
         raise CodecError("erased node out of range")
     if len(erased) > spec.r:
         raise CodecError(f"cannot decode {len(erased)} erasures with r={spec.r}")
-    out = stripe.copy()
+    cols = _checked(spec, columns, spec.n, erased)
     if erased:
-        for node, values in spec.plan.decode(_columns(stripe, erased), 1, erased).items():
-            out.set_column(node, values)
-    return out
+        for node, values in spec.plan.decode(cols, 1, erased).items():
+            cols[node] = values
+    return cols
 
 
 @dataclass
 class ErrorScan:
     status: str          # 'clean' | 'corrected' | 'uncorrectable'
     location: object     # corrected node index, or None
-    stripe: Stripe
+    columns: list
 
 
-def decode_error(spec: CodeSpec, stripe: Stripe) -> ErrorScan:
+def decode_error(spec: CodeSpec, columns) -> ErrorScan:
     """Locate and correct at most one corrupted column.
 
     Zero syndromes mean a clean stripe.  Otherwise each node in turn is
@@ -137,13 +101,10 @@ def decode_error(spec: CodeSpec, stripe: Stripe) -> ErrorScan:
     syndrome is the corrupted one.  No such node means more than one column
     is bad.
     """
-    cols = _columns(stripe)
-    if not any(map(any, spec.plan.syndrome(cols, 1))):
-        return ErrorScan("clean", None, stripe.copy())
-    found = spec.plan.locate(cols)
-    if found is None:
-        return ErrorScan("uncorrectable", None, stripe.copy())
-    node, values = found
-    out = stripe.copy()
-    out.set_column(node, values)
-    return ErrorScan("corrected", node, out)
+    cols = _checked(spec, columns, spec.n)
+    fixed, bad = spec.plan.correct(cols, 1)
+    if bad is not None:
+        return ErrorScan("uncorrectable", None, cols)
+    if fixed:
+        return ErrorScan("corrected", fixed[0], cols)
+    return ErrorScan("clean", None, cols)

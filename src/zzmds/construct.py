@@ -106,9 +106,6 @@ class CodeSpec:
         """Rows of col that a single-column rebuild recovers through parity sidx."""
         return self.family.access_set(self.family_index(col), sidx)
 
-    def is_parity_node(self, node: int) -> bool:
-        return node >= self.k
-
     @cached_property
     def plan(self):
         """The code compiled into tables and gather lists (`zzmds.plan`),
@@ -404,8 +401,8 @@ def _pattern_decodable(spec: CodeSpec, pattern) -> bool:
     return column_rank(spec.field, equations, nunknowns) == nunknowns
 
 
-def verify_mds(spec: CodeSpec, max_erasures: int = None) -> MdsReport:
-    """Exhaustively check decodability of every erasure pattern up to the limit.
+def verify_mds(spec: CodeSpec) -> MdsReport:
+    """Exhaustively check decodability of every pattern of at most r erasures.
 
     Independent of the structured decoders: each pattern is judged purely by
     the rank of its surviving linear constraints.
@@ -413,10 +410,8 @@ def verify_mds(spec: CodeSpec, max_erasures: int = None) -> MdsReport:
     if spec.p * spec.k > MAX_VERIFY_CELLS:
         raise ValueError(f"instance too large for exhaustive verification "
                          f"(p*k = {spec.p * spec.k} > {MAX_VERIFY_CELLS})")
-    if max_erasures is None:
-        max_erasures = spec.r
     checked = 0
-    for size in range(1, max_erasures + 1):
+    for size in range(1, spec.r + 1):
         for pattern in combinations(range(spec.n), size):
             checked += 1
             if not _pattern_decodable(spec, pattern):

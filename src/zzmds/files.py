@@ -163,25 +163,42 @@ def write_node_file(path: str, symbols, q: int) -> None:
         fh.write(blob)
 
 
-def read_node_file(path: str, q: int):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _unpack(blob: bytes, q: int):
     if symbol_width(q) == 1:
         return list(blob)
-    if len(blob) % 2:
-        raise FormatError(f"odd-length wide-symbol file {path}")
     return [v for (v,) in struct.iter_unpack("<H", blob)]
 
 
-def read_columns(directory: str, spec: CodeSpec):
-    """Symbols of every node file that exists: {node index: symbol list}, or
-    None for a file that holds no whole number of symbols."""
-    out = {}
+def read_node_file(path: str, q: int):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) % symbol_width(q):
+        raise FormatError(f"odd-length wide-symbol file {path}")
+    return _unpack(blob, q)
+
+
+def read_columns(directory: str, spec: CodeSpec, stripe_count: int):
+    """Node files the kernels can use: ({node: symbols}, {node: problem text}).
+
+    A file with a partial symbol, other than stripe_count * p symbols, or a
+    symbol outside the field has a problem instead: the kernels index columns
+    by stripe offset and tables by symbol, and check neither.
+    """
+    q, width, want = spec.field.q, symbol_width(spec.field.q), stripe_count * spec.p
+    columns, problems = {}, {}
     for i in range(spec.n):
         path = os.path.join(directory, node_filename(i))
-        if os.path.exists(path):
-            try:
-                out[i] = read_node_file(path, spec.field.q)
-            except FormatError:
-                out[i] = None
-    return out
+        if not os.path.exists(path):
+            continue
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if len(blob) % width:
+            problems[i] = "a partial symbol"
+        elif len(blob) != want * width:
+            problems[i] = f"{len(blob) // width} symbols, not {want}"
+        elif (blob.translate(None, bytes(range(q))) if width == 1
+              else any(v >= q for (v,) in struct.iter_unpack("<H", blob))):
+            problems[i] = f"a symbol outside {spec.field.token}"
+        else:
+            columns[i] = _unpack(blob, q)
+    return columns, problems

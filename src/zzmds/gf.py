@@ -1,4 +1,5 @@
-"""Exact arithmetic over small finite fields, plus linear solving over them.
+"""Exact arithmetic over small finite fields, plus sparse Gauss-Jordan
+elimination over them.
 
 Elements are canonical integers in [0, q).  For a prime field the integer is
 the residue itself.  For an extension field GF(p^w) it encodes the residue
@@ -297,17 +298,15 @@ def field_from_token(token: str) -> Field:
 # -- linear algebra ---------------------------------------------------------
 
 
-def _eliminate(field: Field, equations, rhs):
+def _eliminate(field: Field, equations):
     """Gauss-Jordan on sparse rows ({col: coeff} dicts).
 
-    Returns {pivot_col: (reduced_row, rhs_value)}.  Pivot rows never contain
-    another pivot column, so at full rank each collapses to {col: 1}.
-    Raises SingularMatrixError on an inconsistent row (0 = nonzero).
+    Returns {pivot_col: reduced_row}.  Pivot rows never contain another
+    pivot column, so at full rank each collapses to {col: 1}.  Rows that
+    reduce to zero are dropped.
     """
-    if rhs is None:
-        rhs = [0] * len(equations)
     pivots = {}
-    for row, b in zip(equations, rhs):
+    for row in equations:
         row = {c: v for c, v in row.items() if v}
         while True:
             shared = [c for c in row if c in pivots]
@@ -315,8 +314,7 @@ def _eliminate(field: Field, equations, rhs):
                 break
             c = min(shared)
             f = row.pop(c)
-            prow, pb = pivots[c]
-            for cc, vv in prow.items():
+            for cc, vv in pivots[c].items():
                 if cc == c:
                     continue
                 nv = field.sub(row.get(cc, 0), field.mul(f, vv))
@@ -324,17 +322,12 @@ def _eliminate(field: Field, equations, rhs):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-            b = field.sub(b, field.mul(f, pb))
         if not row:
-            if b:
-                raise SingularMatrixError("inconsistent system")
             continue
         c = min(row)
         ic = field.inv(row[c])
         newrow = {cc: field.mul(ic, vv) for cc, vv in row.items()}
-        nb = field.mul(ic, b)
-        for prow_pb in pivots.values():
-            prow = prow_pb[0]
+        for prow in pivots.values():
             if c in prow:
                 f = prow.pop(c)
                 for cc, vv in newrow.items():
@@ -345,37 +338,10 @@ def _eliminate(field: Field, equations, rhs):
                         prow[cc] = nv
                     else:
                         prow.pop(cc, None)
-                prow_pb[1] = field.sub(prow_pb[1], field.mul(f, nb))
-        pivots[c] = [newrow, nb]
+        pivots[c] = newrow
     return pivots
-
-
-def solve_equations(field: Field, equations, rhs, nunknowns: int):
-    """Solve a (possibly overdetermined but consistent) sparse linear system.
-
-    equations is a list of {unknown_index: coefficient} dicts.  Raises
-    SingularMatrixError if the solution is not unique.
-    """
-    pivots = _eliminate(field, equations, rhs)
-    if len(pivots) < nunknowns:
-        raise SingularMatrixError("rank-deficient system")
-    return [pivots[c][1] for c in range(nunknowns)]
 
 
 def column_rank(field: Field, equations, nunknowns: int) -> int:
     """Rank of the coefficient matrix given as sparse rows."""
-    return len(_eliminate(field, equations, None))
-
-
-def solve_linear(field: Field, matrix, rhs):
-    """Solve the square dense system matrix * x = rhs over the field."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("solve_linear needs a square system")
-    for row in matrix:
-        for a in row:
-            field.check(a)
-    for b in rhs:
-        field.check(b)
-    equations = [{j: a for j, a in enumerate(row) if a} for row in matrix]
-    return solve_equations(field, equations, list(rhs), n)
+    return len(_eliminate(field, equations))

@@ -158,7 +158,29 @@ class CodePlan:
             cols[node] = col
         return {node: cols[node] for node in erased}
 
-    def locate(self, cols):
+    def correct(self, cols, nstripes: int):
+        """Find and patch, in place, a corruption confined to one column in
+        each stripe of the node columns `cols`.
+
+        Returns ({stripe: corrected node}, the first stripe no single column
+        explains or None).  Stripes after that one are left unchecked.
+        """
+        p = self.p
+        fixed = {}
+        syndromes = self.syndrome(cols, nstripes)
+        for t in range(nstripes):
+            lo, hi = t * p, (t + 1) * p
+            if not any(any(s[lo:hi]) for s in syndromes):
+                continue
+            found = self._locate([col[lo:hi] for col in cols])
+            if found is None:
+                return fixed, t
+            node, values = found
+            cols[node][lo:hi] = values
+            fixed[t] = node
+        return fixed, None
+
+    def _locate(self, cols):
         """For one stripe (node columns of p symbols) with a nonzero syndrome:
         (node, corrected column) for the node whose rebuild from the others
         makes the stripe consistent, or None when no single node does.
@@ -269,13 +291,13 @@ class CodePlan:
                 residuals.append(residual)
         arithmetic = SimpleNamespace(mul=lambda a, b: mul[a][b],
                                      sub=lambda a, b: add[a][neg[b]], inv=self.field.inv)
-        pivots = _eliminate(arithmetic, equations, None)
+        pivots = _eliminate(arithmetic, equations)
         if any(u not in pivots for u in range(unknowns)):
             raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
         cells = []
         for u in range(unknowns):
             coeffs = {}
-            for col, d in pivots[u][0].items():
+            for col, d in pivots[u].items():
                 if col >= unknowns:
                     for cell, c in residuals[col - unknowns].items():
                         coeffs[cell] = add[coeffs.get(cell, 0)][mul[d][c]]

@@ -30,8 +30,9 @@ def criterion(num, budget, title):
 
 
 def random_info(spec, rng):
-    return [[rng.randrange(spec.field.q) for _ in range(spec.k)]
-            for _ in range(spec.p)]
+    """k information columns of p random symbols."""
+    return [[rng.randrange(spec.field.q) for _ in range(spec.p)]
+            for _ in range(spec.k)]
 
 
 def test_criterion_1_code53_golden():
@@ -62,7 +63,7 @@ def test_criterion_2_optimal_ratio_r2():
             total = 0
             for col in range(spec.k):
                 values, plan = rebuild_one(spec, stripe, col)
-                assert values == stripe.column(col)
+                assert values == stripe[col]
                 for node in range(spec.n):
                     if node != col:
                         assert plan.cells_in(node) == 2 ** (m - 1)
@@ -79,7 +80,7 @@ def test_criterion_3_optimal_ratio_r3():
             total = 0
             for col in range(spec.k):
                 values, plan = rebuild_one(spec, stripe, col)
-                assert values == stripe.column(col)
+                assert values == stripe[col]
                 for node in range(spec.n):
                     if node != col:
                         assert plan.cells_in(node) == 3 ** (m - 1)
@@ -162,18 +163,12 @@ def test_criterion_7_error_decoding_exhaustive():
         for node in range(spec.n):
             for packed in range(1, 3 ** 4):
                 pattern = [(packed // 3 ** x) % 3 for x in range(4)]
-                bad = stripe.copy()
-                if node < spec.k:
-                    for x in range(4):
-                        bad.info[x][node] = f.add(bad.info[x][node], pattern[x])
-                else:
-                    col = bad.parity[node - spec.k]
-                    for x in range(4):
-                        col[x] = f.add(col[x], pattern[x])
+                bad = [col[:] for col in stripe]
+                bad[node] = [f.add(a, d) for a, d in zip(bad[node], pattern)]
                 scan = decode_error(spec, bad)
                 assert scan.status == "corrected"
                 assert scan.location == node, "mislocated corruption"
-                assert scan.stripe == stripe
+                assert scan.columns == stripe
 
 
 def test_criterion_8_formula_measurement_reconciliation():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -133,6 +134,8 @@ def test_rebuild_node_flag_must_match(workdir, capsys):
     rc = cli.main(["rebuild", str(workdir / "nodes"), "--node", "3"])
     assert rc == 3
     assert read(node_path(workdir, 3))  # untouched
+    assert cli.main(["rebuild", str(workdir / "nodes"), "--node", "99"]) == 3
+    assert "error: missing node index out of range" in capsys.readouterr().err
     assert cli.main(["rebuild", str(workdir / "nodes"), "--node", "1"]) == 0
 
 
@@ -165,6 +168,35 @@ def test_scrub_handles_out_of_range_symbols(workdir, capsys):
     assert rc == 0
     assert "corrected node_01" in out
     assert snapshot(workdir) == before
+
+
+def test_scrub_corrects_two_nodes_in_two_stripes(workdir, capsys):
+    before = snapshot(workdir)
+    for node, stripe, row in ((0, 3, 1), (4, 100, 2)):   # p = 4 symbols a stripe
+        blob = bytearray(before[node])
+        pos = stripe * 4 + row
+        blob[pos] = (blob[pos] + 1) % 3
+        write(node_path(workdir, node), bytes(blob))
+    rc = cli.main(["scrub", str(workdir / "nodes")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "corrected node_00" in out and "corrected node_04" in out
+    assert snapshot(workdir) == before
+
+
+@pytest.mark.parametrize("command", ["rebuild", "decode"])
+def test_out_of_field_node_is_lost(workdir, capsys, command):
+    before = snapshot(workdir)
+    blob = bytearray(before[1])
+    blob[5] = 0xFF   # not a gf(3) symbol at all
+    write(node_path(workdir, 1), bytes(blob))
+    back = workdir / "back.bin"
+    argv = [command, str(workdir / "nodes")]
+    assert cli.main(argv + (["--out", str(back)] if command == "decode" else [])) == 0
+    assert "node_01 holds a symbol outside gf(3)" in capsys.readouterr().err
+    assert snapshot(workdir) == before
+    if command == "decode":
+        assert back.read_bytes() == read(workdir / "payload.bin")
 
 
 def test_scrub_two_corrupted_nodes_uncorrectable(workdir, capsys):
@@ -209,20 +241,60 @@ def test_scrub_restores_truncated_node(workdir, capsys):
     assert snapshot(workdir) == before
 
 
-def test_scrub_restores_partial_wide_symbol_node(tmp_path, capsys):
-    # gf(257) stores two bytes per symbol; an odd-length file is lost, not fatal
+def encode_wide(tmp_path):
+    """A gf(257) directory, whose node files store two bytes per symbol."""
     cfg = tmp_path / "code.cfg"
     cfg.write_text("family=standard\nm=1\ns=2\nscheme=cons4\nfield=gf(257)\n")
     payload = tmp_path / "p.bin"
     payload.write_bytes(bytes(range(200)))
     out = tmp_path / "nodes"
     assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def test_scrub_restores_partial_wide_symbol_node(tmp_path, capsys):
+    # an odd-length gf(257) file is lost, not fatal
+    out = encode_wide(tmp_path)
     before = read(out / node_filename(1))
     write(out / node_filename(1), before[:-1])
     capsys.readouterr()
     assert cli.main(["scrub", str(out)]) == 0
     assert "corrected node_01" in capsys.readouterr().out
     assert read(out / node_filename(1)) == before
+
+
+def test_wide_symbol_outside_field_is_lost(tmp_path, capsys):
+    out = encode_wide(tmp_path)
+    before = read(out / node_filename(1))
+    write(out / node_filename(1), b"\xff\xff" + before[2:])   # 65535 >= 257
+    capsys.readouterr()
+    assert cli.main(["rebuild", str(out)]) == 0
+    assert "node_01 holds a symbol outside gf(257)" in capsys.readouterr().err
+    assert read(out / node_filename(1)) == before
+
+
+# weight-2 vectors over gf(3): the config parses, but `verify` prints "MDS: no"
+# and nodes 0 and 2 together cannot be decoded.
+CONFIG_NOT_MDS = "family=weightw\nm=4\nw=2\nscheme=weightw\nfield=gf(3)\n"
+
+
+@pytest.mark.parametrize("command", ["decode", "scrub"])
+def test_undecodable_pattern_is_uncorrectable(tmp_path, capsys, command):
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(CONFIG_NOT_MDS)
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(random.Random(5).randbytes(3000))
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    for node in (0, 2):
+        path = out / node_filename(node)
+        if command == "decode":
+            os.remove(path)
+        else:
+            write(path, read(path)[:-3])
+    capsys.readouterr()
+    assert cli.main([command, str(out)]) == 2
+    assert "error: erasure pattern [0, 2] is not decodable" in capsys.readouterr().err
 
 
 def test_scrub_locates_corrupted_node_three_parities(tmp_path, capsys):
@@ -241,6 +313,56 @@ def test_scrub_locates_corrupted_node_three_parities(tmp_path, capsys):
     assert cli.main(["scrub", str(out)]) == 0
     assert "corrected node_01" in capsys.readouterr().out
     assert {i: read(out / node_filename(i)) for i in range(6)} == before
+
+
+# SHA-256 of the files `encode` writes for a seeded 3000-byte payload.  A
+# change to these is a change of the on-disk format.
+GOLDEN_ENCODE = {
+    "family=standard\nm=3\nscheme=cons3\n": {
+        "manifest": "10739a22630b3b7ca978babcb7ac2425c3043aceda3fa679cb51b6f74dae3682",
+        "node_00": "a85024b33395238da63da364ab742addc2ebbd63b6b64873121a1e557c50886c",
+        "node_01": "42f58bef25c31711ec1f22f32d1d8a738574f6cbce05ff347af8f7808878bcb2",
+        "node_02": "d1e634d363a6ce8fdf4c60ed9e14b1f1338ebe4d1f069f8efae8e2f8e35eda08",
+        "node_03": "881f1561b6fedd194f70c45bdb394943c14d57ab59c494616689ca2c88b763f7",
+        "node_04": "4d8bcd579ac69456cb34aa27acda18ef493d2dd53bc0963f694ecb492c3b7dad",
+        "node_05": "19fb05dd74337f6f965d307e8c0fd7a5131064e1e371a5d1fb88894f70f767e0",
+    },
+    "family=standard\nm=3\nr=3\nscheme=r3\n": {
+        "manifest": "b591aad70b1ad085f17e7e4098d8a6fa2d45b331375f76b42cc5e9668fa23410",
+        "node_00": "cf01fe7c02fac02a40f9706a0b5c81a4e92f2807c9aec1c49042d666f16d2b23",
+        "node_01": "24e0e06b6f77580c22013cc6e0bb8fa704233ae68aa7afa54a1dee6b3109f50a",
+        "node_02": "f047da7c08ad8902dcfecfcc77b4e76931fcf1dc57d0dca91f730fe594b4cb09",
+        "node_03": "81ca7c89c08145c3cc8b62f6891271aef73b02f2962cb6e8d20b1c833e40870f",
+        "node_04": "d55972d938dbc4cacd9707af61774832d021a80f80194aa09dcf2b79c025c585",
+        "node_05": "62cc67f823096e838f39a5a26db8db86b4bd5f80a65da875103930089cd47d85",
+        "node_06": "8de4969159ba1b00533ae99e79582331014ccfa40bd3561bef11012f1ac537b6",
+    },
+    "family=weightw\nm=6\nw=3\nscheme=weightw\n": {
+        "manifest": "02c20cf0a628f83f80a580cc64156aba285b6ee2f2a9f4a07e26a4f6e130fb6b",
+        "node_00": "1881d73387558298adad651eb1b7fe6da19df5ce313f9ad79e0e365733ae5a96",
+        "node_01": "80d82803795678119eeff3c3bc9c7df6018d0167d5df01ff1306d430cc40ea2e",
+        "node_02": "752f024f4fc9da8551e32d5046f06780ed44f63b33824d2bd9cb625fa64bef13",
+        "node_03": "a703c2544249424d9a9c6471489b295134809ae940b2b3fd506ceee716f1e8cd",
+        "node_04": "980ec8b808d0fb51f8f0c64672540d8107d3eb8074afeea4ff8b40b256136fbd",
+        "node_05": "d9d5303ed82eee2f8826d9d930126567c5eec43d7b02360fc9fe23d3df333d8a",
+        "node_06": "256d990b209560171751726eac5af05eecb73b6c0263f84251cd65e4871c2b00",
+        "node_07": "8c718f8fc5f252c8fc72f89d7a510e09d8e4eb0d84251e033af9e9bd26ce4d9e",
+        "node_08": "bb41bb9ace3f946ece978ef976316f314dce6b2638cc55b980cea64bfa395ded",
+        "node_09": "1ffe3c258b3b654ee530ffbafc9a917c618e3bdf998b963f6d2d88b62b544b81",
+    },
+}
+
+
+@pytest.mark.parametrize("config", list(GOLDEN_ENCODE), ids=["cons3", "r3", "weightw"])
+def test_encode_golden_format(tmp_path, capsys, config):
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(config)
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(random.Random(3000).randbytes(3000))
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256(read(out / name)).hexdigest() for name in os.listdir(out)}
+    assert got == GOLDEN_ENCODE[config]
 
 
 def test_empty_payload(tmp_path, capsys):

@@ -18,20 +18,26 @@ def code53():
 
 
 def random_info(spec, rng):
-    return [[rng.randrange(spec.field.q) for _ in range(spec.k)]
-            for _ in range(spec.p)]
+    """k information columns of p random symbols."""
+    return [[rng.randrange(spec.field.q) for _ in range(spec.p)]
+            for _ in range(spec.k)]
+
+
+def rows(columns):
+    """Row-major form of node columns, the form the oracles take."""
+    return [list(row) for row in zip(*columns)]
+
+
+def copied(stripe):
+    return [col[:] for col in stripe]
 
 
 def poisoned(stripe, erased):
     """Copy with the erased columns overwritten by None, so any read of them
     would blow up immediately."""
-    out = stripe.copy()
+    out = copied(stripe)
     for node in erased:
-        if node < stripe.spec.k:
-            for x in range(stripe.spec.p):
-                out.info[x][node] = None
-        else:
-            out.parity[node - stripe.spec.k] = [None] * stripe.spec.p
+        out[node] = [None] * len(out[node])
     return out
 
 
@@ -60,8 +66,8 @@ def built(name):
 
 def drawn_stripe(data, spec):
     q = spec.field.q
-    row = st.lists(st.integers(0, q - 1), min_size=spec.k, max_size=spec.k)
-    return encode(spec, data.draw(st.lists(row, min_size=spec.p, max_size=spec.p), label="info"))
+    col = st.lists(st.integers(0, q - 1), min_size=spec.p, max_size=spec.p)
+    return encode(spec, data.draw(st.lists(col, min_size=spec.k, max_size=spec.k), label="info"))
 
 
 @pytest.fixture(params=sorted(SPECS), ids=sorted(SPECS))
@@ -76,31 +82,56 @@ def test_encode_code53_formulas():
     stripe = encode(spec, a)
     f = spec.field
     for i in range(4):
-        assert stripe.parity[0][i] == f.add(f.add(a[i][0], a[i][1]), a[i][2])
-    # z_0 = a_00 + 2 a_21 + 2 a_12, z_1 = a_10 + 2 a_31 + a_02
-    assert stripe.parity[1][0] == f.add(a[0][0], f.add(f.mul(2, a[2][1]), f.mul(2, a[1][2])))
-    assert stripe.parity[1][1] == f.add(a[1][0], f.add(f.mul(2, a[3][1]), a[0][2]))
+        assert stripe[3][i] == f.add(f.add(a[0][i], a[1][i]), a[2][i])
+    # z_0 = a_00 + 2 a_21 + 2 a_12, z_1 = a_10 + 2 a_31 + a_02 (a_ij: row i, column j)
+    assert stripe[4][0] == f.add(a[0][0], f.add(f.mul(2, a[1][2]), f.mul(2, a[2][1])))
+    assert stripe[4][1] == f.add(a[0][1], f.add(f.mul(2, a[1][3]), a[2][0]))
 
 
 def test_encode_matches_definition(spec):
     rng = random.Random(5)
     info = random_info(spec, rng)
     stripe = encode(spec, info)
+    assert stripe[:spec.k] == info
     for sidx in range(spec.r):
-        assert stripe.parity[sidx] == oracles.parity_by_definition(spec, info, sidx)
+        assert stripe[spec.k + sidx] == oracles.parity_by_definition(spec, rows(info), sidx)
 
 
 def test_encode_zero_info_gives_zero_parity(spec):
-    stripe = encode(spec, [[0] * spec.k for _ in range(spec.p)])
-    assert all(all(v == 0 for v in col) for col in stripe.parity)
+    stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
+    assert all(all(v == 0 for v in col) for col in stripe[spec.k:])
 
 
 def test_encode_validates_dimensions():
     spec = code53()
     with pytest.raises(CodecError):
-        encode(spec, [[0] * spec.k for _ in range(spec.p - 1)])
+        encode(spec, [[0] * spec.p for _ in range(spec.k - 1)])
+    with pytest.raises(CodecError):
+        encode(spec, [[0] * (spec.p - 1) for _ in range(spec.k)])
     with pytest.raises(gf.FieldError):
-        encode(spec, [[7] * spec.k for _ in range(spec.p)])
+        encode(spec, [[7] * spec.p for _ in range(spec.k)])
+
+
+def test_stripe_inputs_are_checked():
+    spec = code53()
+    stripe = encode(spec, [[0] * 4 for _ in range(3)])
+    with pytest.raises(CodecError):
+        rebuild_one(spec, stripe, spec.n)
+    with pytest.raises(CodecError):
+        decode_erasures(spec, stripe, [-1])
+    with pytest.raises(CodecError):
+        syndrome(spec, stripe[:-1])
+    with pytest.raises(CodecError):
+        decode_error(spec, stripe[:2] + [[0] * 3] + stripe[3:])
+    with pytest.raises(gf.FieldError):
+        rebuild_one(spec, stripe[:2] + [[0, 0, 0, 7]] + stripe[3:], 1)
+    # an erased column is never read, so it may be missing altogether
+    assert rebuild_one(spec, stripe[:1] + [None] + stripe[2:], 1)[0] == stripe[1]
+    # inputs are copied, never patched in place
+    bad = copied(stripe)
+    bad[0][0] = 1
+    assert decode_error(spec, bad).columns == stripe
+    assert bad[0][0] == 1
 
 
 def test_syndrome_zero_on_consistent(spec):
@@ -117,8 +148,8 @@ def test_syndrome_single_cell_delta():
     for i in range(spec.p):
         for j in range(spec.k):
             for delta in (1, 2):
-                bad = stripe.copy()
-                bad.info[i][j] = f.add(bad.info[i][j], delta)
+                bad = copied(stripe)
+                bad[j][i] = f.add(bad[j][i], delta)
                 s0, s1 = syndrome(spec, bad)
                 assert s0 == [delta if x == i else 0 for x in range(spec.p)]
                 expect = [0] * spec.p
@@ -129,10 +160,10 @@ def test_syndrome_single_cell_delta():
 
 def test_syndrome_parity_corruption_hits_one_side():
     spec = code53()
-    stripe = encode(spec, [[1] * spec.k for _ in range(spec.p)])
+    stripe = encode(spec, [[1] * spec.p for _ in range(spec.k)])
     for sidx in range(2):
-        bad = stripe.copy()
-        bad.parity[sidx][2] = spec.field.add(bad.parity[sidx][2], 1)
+        bad = copied(stripe)
+        bad[spec.k + sidx][2] = spec.field.add(bad[spec.k + sidx][2], 1)
         s = syndrome(spec, bad)
         assert any(v for v in s[sidx])
         assert not any(v for v in s[1 - sidx])
@@ -143,7 +174,7 @@ def test_rebuild_code53_column1_access():
     rng = random.Random(17)
     stripe = encode(spec, random_info(spec, rng))
     values, plan = rebuild_one(spec, poisoned(stripe, [1]), 1)
-    assert values == stripe.column(1)
+    assert values == stripe[1]
     # reads a_00, a_10, a_02, a_12 plus r_0, r_1, z_0, z_1 and nothing else
     assert plan.access == {0: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 1)}
     assert plan.cells_read == 8
@@ -156,7 +187,7 @@ def test_rebuild_restores_every_node(spec):
     stripe = encode(spec, random_info(spec, rng))
     for node in range(spec.n):
         values, plan = rebuild_one(spec, poisoned(stripe, [node]), node)
-        assert values == stripe.column(node)
+        assert values == stripe[node]
         if node < spec.k:
             rows = sorted(x for rows in plan.rows_by_parity for x in rows)
             assert rows == list(range(spec.p))
@@ -164,7 +195,7 @@ def test_rebuild_restores_every_node(spec):
 
 def test_rebuild_parity_reads_everything():
     spec = code53()
-    stripe = encode(spec, [[0] * 3 for _ in range(4)])
+    stripe = encode(spec, [[0] * 4 for _ in range(3)])
     _, plan = rebuild_one(spec, stripe, 3)
     assert plan.ratio(spec) == 1
     assert plan.access == {c: tuple(range(4)) for c in range(3)}
@@ -173,7 +204,7 @@ def test_rebuild_parity_reads_everything():
 def test_rebuild_orthogonal_reads_quarter_per_node():
     for m in (2, 3):
         spec = build_code("r3", m=m)
-        stripe = encode(spec, [[0] * spec.k for _ in range(spec.p)])
+        stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
         for col in range(spec.k):
             _, plan = rebuild_one(spec, stripe, col)
             for node in range(spec.n):
@@ -184,7 +215,7 @@ def test_rebuild_orthogonal_reads_quarter_per_node():
 
 def test_rebuild_duplicated_reads_siblings_fully():
     spec = build_code("cons4", m=2, s=2)
-    stripe = encode(spec, [[0] * spec.k for _ in range(spec.p)])
+    stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
     total = 0
     for col in range(spec.k):
         _, plan = rebuild_one(spec, stripe, col)
@@ -218,7 +249,7 @@ def test_decode_both_parities_is_reencode():
 
 def test_decode_rejects_too_many():
     spec = code53()
-    stripe = encode(spec, [[0] * 3 for _ in range(4)])
+    stripe = encode(spec, [[0] * 4 for _ in range(3)])
     with pytest.raises(CodecError):
         decode_erasures(spec, stripe, [0, 1, 2])
 
@@ -229,17 +260,17 @@ def test_decode_signals_undecodable_spec():
     f2 = gf.field_create("prime", 2)
     ones = (tuple(tuple(1 for _ in range(3)) for _ in range(4)),)
     spec = build_code("table", m=2, field=f2, coefficients=ones)
-    stripe = encode(spec, [[0] * 3 for _ in range(4)])
+    stripe = encode(spec, [[0] * 4 for _ in range(3)])
     with pytest.raises(gf.SingularMatrixError):
         decode_erasures(spec, stripe, [0, 1])
 
 
 def test_decode_error_clean():
     spec = code53()
-    stripe = encode(spec, [[2] * 3 for _ in range(4)])
+    stripe = encode(spec, [[2] * 4 for _ in range(3)])
     scan = decode_error(spec, stripe)
     assert scan.status == "clean" and scan.location is None
-    assert scan.stripe == stripe
+    assert scan.columns == stripe
 
 
 def test_decode_error_locates_and_corrects_sampled():
@@ -251,13 +282,13 @@ def test_decode_error_locates_and_corrects_sampled():
             pattern = [rng.randrange(3) for _ in range(spec.p)]
             if not any(pattern):
                 continue
-            bad = stripe.copy()
+            bad = copied(stripe)
             for x in range(spec.p):
-                bad.info[x][col] = spec.field.add(bad.info[x][col], pattern[x])
+                bad[col][x] = spec.field.add(bad[col][x], pattern[x])
             scan = decode_error(spec, bad)
             assert scan.status == "corrected"
             assert scan.location == col
-            assert scan.stripe == stripe
+            assert scan.columns == stripe
 
 
 def test_decode_error_fixes_parity():
@@ -265,11 +296,11 @@ def test_decode_error_fixes_parity():
     rng = random.Random(43)
     stripe = encode(spec, random_info(spec, rng))
     for sidx, node in ((0, 3), (1, 4)):
-        bad = stripe.copy()
-        bad.parity[sidx][1] = spec.field.add(bad.parity[sidx][1], 2)
+        bad = copied(stripe)
+        bad[node][1] = spec.field.add(bad[node][1], 2)
         scan = decode_error(spec, bad)
         assert scan.status == "corrected" and scan.location == node
-        assert scan.stripe == stripe
+        assert scan.columns == stripe
 
 
 def single_column_interpretations(spec, stripe):
@@ -284,9 +315,9 @@ def single_column_interpretations(spec, stripe):
     if not any(s0) and not any(s1):
         return out
     for j in range(spec.k):
-        cand = stripe.copy()
+        cand = copied(stripe)
         for x in range(spec.p):
-            cand.info[x][j] = spec.field.sub(cand.info[x][j], s0[x])
+            cand[j][x] = spec.field.sub(cand[j][x], s0[x])
         if not any(any(v for v in s) for s in syndrome(spec, cand)):
             out.append(j)
     if not any(s1):
@@ -307,10 +338,10 @@ def test_decode_error_two_columns():
     f = spec.field
     for _ in range(40):
         j1, j2 = rng.sample(range(spec.k), 2)
-        bad = stripe.copy()
+        bad = copied(stripe)
         x1, x2 = rng.randrange(4), rng.randrange(4)
-        bad.info[x1][j1] = f.add(bad.info[x1][j1], rng.randrange(1, 3))
-        bad.info[x2][j2] = f.add(bad.info[x2][j2], rng.randrange(1, 3))
+        bad[j1][x1] = f.add(bad[j1][x1], rng.randrange(1, 3))
+        bad[j2][x2] = f.add(bad[j2][x2], rng.randrange(1, 3))
         interps = single_column_interpretations(spec, bad)
         scan = decode_error(spec, bad)
         if scan.status == "uncorrectable":
@@ -319,7 +350,7 @@ def test_decode_error_two_columns():
         else:
             assert scan.status == "corrected"
             assert scan.location in interps
-            assert not any(any(v for v in s) for s in syndrome(spec, scan.stripe))
+            assert not any(any(v for v in s) for s in syndrome(spec, scan.columns))
     assert uncorrectable > 20  # aliasing is the exception, not the rule
 
 
@@ -328,14 +359,13 @@ def test_decode_error_locates_with_three_parities():
     rng = random.Random(53)
     stripe = encode(spec, random_info(spec, rng))
     for node in range(spec.n):
-        bad = stripe.copy()
-        col = bad.column(node)
+        bad = copied(stripe)
+        col = bad[node]
         for x in rng.sample(range(spec.p), rng.randrange(1, spec.p + 1)):
             col[x] = spec.field.add(col[x], rng.randrange(1, spec.field.q))
-        bad.set_column(node, col)
         scan = decode_error(spec, bad)
         assert scan.status == "corrected" and scan.location == node
-        assert scan.stripe == stripe
+        assert scan.columns == stripe
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -344,8 +374,8 @@ def test_decode_error_locates_with_three_parities():
 def test_property_erasures_decode_exactly(name, data):
     spec = built(name)
     stripe = drawn_stripe(data, spec)
-    assert stripe.parity == [oracles.parity_by_definition(spec, stripe.info, sidx)
-                             for sidx in range(spec.r)]
+    assert stripe[spec.k:] == [oracles.parity_by_definition(spec, rows(stripe[:spec.k]), sidx)
+                               for sidx in range(spec.r)]
     size = data.draw(st.integers(0, spec.r), label="size")
     erased = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=size, max_size=size,
                                 unique=True), label="erased")
@@ -362,8 +392,8 @@ def test_property_single_column_corruption_corrected(name, data):
     node = data.draw(st.integers(0, spec.n - 1), label="node")
     delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=spec.p, max_size=spec.p)
                       .filter(any), label="delta")
-    bad = stripe.copy()
-    bad.set_column(node, [f.add(a, d) for a, d in zip(bad.column(node), delta)])
+    bad = copied(stripe)
+    bad[node] = [f.add(a, d) for a, d in zip(bad[node], delta)]
     scan = decode_error(spec, bad)
     assert (scan.status, scan.location) == ("corrected", node)
-    assert scan.stripe == stripe
+    assert scan.columns == stripe

@@ -8,11 +8,11 @@ from .codec import (CodecError, ErrorScan, RebuildPlan, decode_erasures,
                     decode_error, encode, rebuild_one, syndrome)
 from .construct import (CodeSpec, CodeSpecError, MdsReport, build_code,
                         default_field, verify_mds)
-from .gf import (Field, FieldError, SingularMatrixError, field_create,
-                 field_from_token, gf9, is_prime)
+from .gf import Field, FieldError, field_create, field_from_token, gf9, is_prime
 from .perms import (OrthogonalityReport, RVector, VectorFamily, access_set,
                     access_union, intersection_size, make_family,
                     orthogonality_check, perm_apply, perm_unapply,
                     rebuild_overlap, standard_basis_family, weight_w_family)
+from .plan import SingularMatrixError
 
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ import sys
 
 from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
-from .gf import FieldError, SingularMatrixError, field_from_token
+from .gf import FieldError, field_from_token
+from .plan import SingularMatrixError
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
 
@@ -214,7 +215,7 @@ def cmd_scrub(args):
     if invalid:
         for node, col in spec.plan.decode(cols, mf.stripe_count, invalid).items():
             cols[node] = col
-    fixed, bad = spec.plan.correct(cols, mf.stripe_count)
+    fixed, bad = spec.plan.correct(cols, mf.stripe_count, len(invalid))
     if bad is not None:
         print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
         return 2

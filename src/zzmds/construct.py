@@ -3,12 +3,13 @@ the zigzag coefficient table for each supported scheme.
 
 Schemes (the tags are also the config-file tokens):
 
-  cons3    r=2, no duplication, GF(3).  Coefficients are 1 or 2 depending on
-           a prefix-parity test of the row index, the smallest field that
-           keeps two simultaneous column erasures solvable.
-  cons4    r=2 with s-fold duplication over GF(q).  Copy t reuses the cons3
-           pattern with values a^t / a^(t+1) (odd q, s <= q-1) or
-           a^(t+1) / a^(-t-1) (even q, s <= q-2), a the primitive element.
+  cons3    r=2, no duplication, GF(3): the cons4 table with s=1, whose
+           coefficients 1 and 2 make GF(3) the smallest field that keeps
+           two simultaneous column erasures solvable.
+  cons4    r=2 with s-fold duplication over GF(q).  A prefix-parity test of
+           the row index gives copy t the value a^t / a^(t+1) (odd q,
+           s <= q-1) or a^(t+1) / a^(-t-1) (even q, s <= q-2), a the
+           primitive element.
   weightw  r=2, block-weight-w families.  The coefficient exponent packs w
            prefix parities of the row into an integer, over GF(2^w+1) when
            that is a prime power, else GF(2^(w+1)).
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .gf import Field, column_rank, field_create, gf9, is_prime
+from .gf import Field, field_create, gf9, is_prime
 from .perms import (RVector, VectorFamily, make_family, standard_basis_family,
                     to_digits, unit_vector, weight_w_family)
 
@@ -178,18 +179,6 @@ def _prefix_vectors(family: VectorFamily):
     return out
 
 
-def _build_cons3(family, field, s):
-    p = family.p
-    prefixes = _prefix_vectors(family)
-    table = [[0] * family.size for _ in range(p)]
-    for row in range(p):
-        rd = to_digits(row, 2, family.m)
-        for j in range(family.size):
-            hit = sum(a * b for a, b in zip(rd, prefixes[j])) % 2
-            table[row][j] = 2 if hit else 1
-    return (tuple(tuple(r) for r in table),)
-
-
 def _build_cons4(family, field, s):
     p = family.p
     a = field.primitive
@@ -247,7 +236,7 @@ def _build_r3(family, field, s):
     return tuple(tables)
 
 
-_BUILDERS = {"cons3": _build_cons3, "cons4": _build_cons4,
+_BUILDERS = {"cons3": _build_cons4, "cons4": _build_cons4,
              "weightw": _build_weightw, "r3": _build_r3}
 
 
@@ -288,7 +277,7 @@ def _validate_scheme(scheme, family, field, s):
 
 def build_code(scheme: str, family: str = "standard", m: int = None, r: int = None,
                s: int = 1, w: int = None, vectors=None, field: Field = None,
-               coefficients=None, validate: bool = True) -> CodeSpec:
+               coefficients=None) -> CodeSpec:
     """Assemble a CodeSpec.
 
     family is 'standard', 'weightw', or 'explicit' (with `vectors` either a
@@ -337,8 +326,7 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
 
     if s < 1:
         raise CodeSpecError("duplication factor must be at least 1")
-    if validate:
-        _validate_scheme(scheme, fam, field, s)
+    _validate_scheme(scheme, fam, field, s)
 
     if scheme == "table":
         if coefficients is None:
@@ -356,13 +344,12 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
         coeffs = _BUILDERS[scheme](fam, field, s)
 
     spec = CodeSpec(fam, field, scheme, s, coeffs)
-    if validate:
-        for sidx in range(1, spec.r):
-            for row in range(spec.p):
-                for col in range(spec.k):
-                    if spec.coefficient(row, col, sidx) == 0:
-                        raise CodeSpecError(
-                            f"zero coefficient at row {row}, column {col}, parity {sidx}")
+    for sidx in range(1, spec.r):
+        for row in range(spec.p):
+            for col in range(spec.k):
+                if spec.coefficient(row, col, sidx) == 0:
+                    raise CodeSpecError(
+                        f"zero coefficient at row {row}, column {col}, parity {sidx}")
     return spec
 
 
@@ -376,36 +363,12 @@ class MdsReport:
         return self.is_mds
 
 
-def _pattern_decodable(spec: CodeSpec, pattern) -> bool:
-    """Unique solvability of the surviving constraints for one erasure pattern.
-
-    Surviving systematic columns pin their own cells, so the open unknowns
-    are the erased systematic cells; each surviving parity contributes one
-    equation per set.  Full column rank means the pattern decodes.
-    """
-    erased_sys = [c for c in pattern if c < spec.k]
-    erased_par = {c - spec.k for c in pattern if c >= spec.k}
-    if not erased_sys:
-        return True
-    nunknowns = len(erased_sys) * spec.p
-    equations = []
-    for sidx in range(spec.r):
-        if sidx in erased_par:
-            continue
-        for zidx in range(spec.p):
-            row = {}
-            for ci, col in enumerate(erased_sys):
-                y = spec.source_row(zidx, col, sidx)
-                row[ci * spec.p + y] = spec.coefficient(y, col, sidx)
-            equations.append(row)
-    return column_rank(spec.field, equations, nunknowns) == nunknowns
-
-
 def verify_mds(spec: CodeSpec) -> MdsReport:
     """Exhaustively check decodability of every pattern of at most r erasures.
 
-    Independent of the structured decoders: each pattern is judged purely by
-    the rank of its surviving linear constraints.
+    Each pattern is judged by the rank of its surviving parity equations
+    (`CodePlan.decodable`), the same equations and elimination the decoder
+    solves; `tests/oracles.py` checks the verdicts by exhaustive search.
     """
     if spec.p * spec.k > MAX_VERIFY_CELLS:
         raise ValueError(f"instance too large for exhaustive verification "
@@ -414,6 +377,6 @@ def verify_mds(spec: CodeSpec) -> MdsReport:
     for size in range(1, spec.r + 1):
         for pattern in combinations(range(spec.n), size):
             checked += 1
-            if not _pattern_decodable(spec, pattern):
+            if not spec.plan.decodable(pattern):
                 return MdsReport(False, pattern, checked)
     return MdsReport(True, None, checked)

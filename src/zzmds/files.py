@@ -169,14 +169,6 @@ def _unpack(blob: bytes, q: int):
     return [v for (v,) in struct.iter_unpack("<H", blob)]
 
 
-def read_node_file(path: str, q: int):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) % symbol_width(q):
-        raise FormatError(f"odd-length wide-symbol file {path}")
-    return _unpack(blob, q)
-
-
 def read_columns(directory: str, spec: CodeSpec, stripe_count: int):
     """Node files the kernels can use: ({node: symbols}, {node: problem text}).
 

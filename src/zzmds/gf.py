@@ -1,5 +1,4 @@
-"""Exact arithmetic over small finite fields, plus sparse Gauss-Jordan
-elimination over them.
+"""Exact arithmetic over small finite fields.
 
 Elements are canonical integers in [0, q).  For a prime field the integer is
 the residue itself.  For an extension field GF(p^w) it encodes the residue
@@ -8,8 +7,9 @@ integer (so for GF(2^w) the integer IS the coefficient bit-vector).
 
 Everything here is computed structurally on small ints, with no floating
 point anywhere.  This is the single definition of the arithmetic: the lookup
-tables a compiled code runs on (`zzmds.plan`) are derived from it and tested
-against it exhaustively.
+tables a compiled code runs on (`zzmds.plan`), and with them the elimination
+that decodes and verifies erasure patterns there, are derived from it and
+tested against it exhaustively.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from __future__ import annotations
 
 class FieldError(ValueError):
     """Invalid field construction or misuse of field elements."""
-
-
-class SingularMatrixError(ValueError):
-    """The linear system has no unique solution."""
 
 
 MAX_PRIME = 65521
@@ -293,55 +289,3 @@ def field_from_token(token: str) -> Field:
     if n > 2 and n & (n - 1) == 0:  # power of two: gf(4) means gf(2^2)
         return field_create("binary-extension", n.bit_length() - 1)
     return field_create("prime", n)
-
-
-# -- linear algebra ---------------------------------------------------------
-
-
-def _eliminate(field: Field, equations):
-    """Gauss-Jordan on sparse rows ({col: coeff} dicts).
-
-    Returns {pivot_col: reduced_row}.  Pivot rows never contain another
-    pivot column, so at full rank each collapses to {col: 1}.  Rows that
-    reduce to zero are dropped.
-    """
-    pivots = {}
-    for row in equations:
-        row = {c: v for c, v in row.items() if v}
-        while True:
-            shared = [c for c in row if c in pivots]
-            if not shared:
-                break
-            c = min(shared)
-            f = row.pop(c)
-            for cc, vv in pivots[c].items():
-                if cc == c:
-                    continue
-                nv = field.sub(row.get(cc, 0), field.mul(f, vv))
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        if not row:
-            continue
-        c = min(row)
-        ic = field.inv(row[c])
-        newrow = {cc: field.mul(ic, vv) for cc, vv in row.items()}
-        for prow in pivots.values():
-            if c in prow:
-                f = prow.pop(c)
-                for cc, vv in newrow.items():
-                    if cc == c:
-                        continue
-                    nv = field.sub(prow.get(cc, 0), field.mul(f, vv))
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
-        pivots[c] = newrow
-    return pivots
-
-
-def column_rank(field: Field, equations, nunknowns: int) -> int:
-    """Rank of the coefficient matrix given as sparse rows."""
-    return len(_eliminate(field, equations))

@@ -153,15 +153,6 @@ def intersection_size(v: RVector, u: RVector, i: int, j: int) -> int:
     return 0
 
 
-def transfer_set(v: RVector, u: RVector, i: int, v_is_zero: bool = False):
-    """Rows read in column u to serve parity i of a rebuild of column v.
-
-    Explicitly constructed as f_u^-i(f_v^i(X_v^i)).
-    """
-    return frozenset(perm_unapply(u, i, perm_apply(v, i, x))
-                     for x in access_set(v, i, special_zero=v_is_zero))
-
-
 def access_union(v: RVector, u: RVector, v_is_zero: bool = False):
     """All rows read in column u across parities when rebuilding column v.
 

@@ -11,6 +11,10 @@ output column of a stripe: entry x lists the (node, row, mul row) terms of
 output row x, whose value is the field sum of mul_row[column[node][row]].
 Encode, syndrome, rebuild and decode are all gather lists; they differ only
 in the cells they read and the coefficients they read them with.
+
+An erasure pattern's surviving parity equations are solved by the one
+Gauss-Jordan elimination here, on the same tables: its pivot rows are the
+pattern's decode map, and their number is the rank `verify_mds` checks.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from types import SimpleNamespace
-
-from .gf import SingularMatrixError, _eliminate
 
 # Fields up to this size get materialised q x q tables (two of at most 65536
 # entries).  Larger ones, which only explicit prime-field configs reach, read
 # the same rows computed on access instead.
 TABLE_MAX_Q = 256
+
+
+class SingularMatrixError(ValueError):
+    """The surviving columns do not determine the erased ones."""
 
 
 @dataclass(frozen=True)
@@ -158,22 +163,28 @@ class CodePlan:
             cols[node] = col
         return {node: cols[node] for node in erased}
 
-    def correct(self, cols, nstripes: int):
+    def correct(self, cols, nstripes: int, decoded: int = 0):
         """Find and patch, in place, a corruption confined to one column in
         each stripe of the node columns `cols`.
+
+        `decoded` counts the columns of `cols` just decoded as erasures.  A
+        patched stripe may then differ from the true one in decoded + 2
+        columns, so a column is located only while that is at most r (the
+        column distance is r + 1); past it every inconsistent stripe is
+        uncorrectable.
 
         Returns ({stripe: corrected node}, the first stripe no single column
         explains or None).  Stripes after that one are left unchecked.
         """
-        p = self.p
+        p, locate = self.p, decoded + 2 <= self.r
         fixed = {}
         syndromes = self.syndrome(cols, nstripes)
         for t in range(nstripes):
             lo, hi = t * p, (t + 1) * p
             if not any(any(s[lo:hi]) for s in syndromes):
                 continue
-            found = self._locate([col[lo:hi] for col in cols])
-            if found is None:
+            found = locate and self._locate([col[lo:hi] for col in cols])
+            if not found:
                 return fixed, t
             node, values = found
             cols[node][lo:hi] = values
@@ -261,45 +272,76 @@ class CodePlan:
         access = {node: tuple(sorted(rows)) for node, rows in touched.items()}
         return gather, RebuildPlan(j, rows_by_parity, access)
 
-    def _decoder(self, erased):
-        """Gather lists of the erased systematic columns, each cell a
-        combination of surviving cells.
-
-        Every surviving parity cell gives one equation: the erased cells of
-        its set, weighted, equal its residual (the parity cell minus the
-        surviving cells of the set).  One Gauss-Jordan pass over [M | I]
-        expresses each erased cell in the residuals, which are then expanded
-        into surviving cells.
-        """
-        p, k, add, mul, neg = self.p, self.k, self.add, self.mul, self.neg
-        lost = [c for c in erased if c < k]
-        slot = {col: i for i, col in enumerate(lost)}
-        unknowns = len(lost) * p
-        equations, residuals = [], []
+    def _equations(self, erased):
+        """(rows, U): one sparse row ({column: coefficient}) per surviving
+        parity cell, in parity order, saying that its zigzag set minus the
+        parity cell sums to zero.  The U cells of the erased systematic
+        columns are the unknowns, columns [0, U); surviving cell (node, row)
+        is column U + node * p + row."""
+        p, k = self.p, self.k
+        slot = {col: i for i, col in enumerate(c for c in erased if c < k)}
+        unknowns = len(slot) * p
+        minus_one = self.neg[1]
+        rows = []
         for sidx, sets in enumerate(self._sets):
             if k + sidx in erased:
                 continue
             for z, members in enumerate(sets):
-                equation = {unknowns + len(equations): 1}
-                residual = {(k + sidx, z): 1}
+                row = {unknowns + (k + sidx) * p + z: minus_one}
                 for col, y, c in members:
-                    if col in slot:
-                        equation[slot[col] * p + y] = c
-                    else:
-                        residual[(col, y)] = neg[c]
-                equations.append(equation)
-                residuals.append(residual)
-        arithmetic = SimpleNamespace(mul=lambda a, b: mul[a][b],
-                                     sub=lambda a, b: add[a][neg[b]], inv=self.field.inv)
-        pivots = _eliminate(arithmetic, equations)
-        if any(u not in pivots for u in range(unknowns)):
+                    row[slot[col] * p + y if col in slot else unknowns + col * p + y] = c
+                rows.append(row)
+        return rows, unknowns
+
+    def _eliminate(self, rows, unknowns: int) -> dict:
+        """Gauss-Jordan on sparse rows, pivoting only on the unknown columns
+        [0, unknowns); the rows are consumed.  Returns {unknown: pivot row}:
+        its own coefficient 1, no other pivot's unknown.  A row left with no
+        unknown is dropped, so the rank is the number of pivots."""
+        add, mul, neg = self.add, self.mul, self.neg
+
+        def subtract(row, f, pivot):
+            """row -= f * pivot, which clears the pivot's unknown from row."""
+            mrow = mul[neg[f]]
+            for col, c in pivot.items():
+                v = add[row.get(col, 0)][mrow[c]]
+                if v:
+                    row[col] = v
+                else:
+                    del row[col]
+
+        pivots = {}
+        for row in rows:
+            for u in [u for u in row if u in pivots]:
+                subtract(row, row[u], pivots[u])
+            free = [u for u in row if u < unknowns]
+            if not free:
+                continue
+            u = min(free)
+            scale = mul[self.field.inv(row[u])]
+            row = {col: scale[c] for col, c in row.items()}
+            for prow in pivots.values():
+                if u in prow:
+                    subtract(prow, prow[u], row)
+            pivots[u] = row
+        return pivots
+
+    def decodable(self, erased) -> bool:
+        """Whether the surviving columns determine the erased ones: full
+        rank of the pattern's equations in its unknowns."""
+        rows, unknowns = self._equations(erased)
+        return len(self._eliminate(rows, unknowns)) == unknowns
+
+    def _decoder(self, erased):
+        """Gather lists of the erased systematic columns, each cell a
+        combination of surviving cells.  Each unknown u's pivot row reads
+        u + sum(c * s) = 0 over surviving cells s, so u = sum(-c * s)."""
+        p, mul, neg = self.p, self.mul, self.neg
+        rows, unknowns = self._equations(erased)
+        pivots = self._eliminate(rows, unknowns)
+        if len(pivots) < unknowns:
             raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
-        cells = []
-        for u in range(unknowns):
-            coeffs = {}
-            for col, d in pivots[u].items():
-                if col >= unknowns:
-                    for cell, c in residuals[col - unknowns].items():
-                        coeffs[cell] = add[coeffs.get(cell, 0)][mul[d][c]]
-            cells.append([(node, row, mul[c]) for (node, row), c in sorted(coeffs.items()) if c])
-        return [cells[i * p:(i + 1) * p] for i in range(len(lost))]
+        cells = [[(*divmod(col - unknowns, p), mul[neg[c]])
+                  for col, c in sorted(pivots[u].items()) if col != u]
+                 for u in range(unknowns)]
+        return [cells[i:i + p] for i in range(0, unknowns, p)]

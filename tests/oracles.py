@@ -5,7 +5,7 @@ construction, definitional sums, exhaustive search.  None of it calls the
 code paths under test beyond reading plain data (vectors, coefficients).
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def digits_of(x, r, m):
@@ -78,6 +78,23 @@ def parity_by_definition(spec, info, sidx):
             out[target] = f.add(out[target],
                                 f.mul(spec.coefficient(row, col, sidx), info[row][col]))
     return out
+
+
+def decodable(spec, pattern):
+    """Whether an erasure pattern decodes, by exhaustive search: it does
+    unless some nonzero assignment of its erased information cells, every
+    other information cell zero, leaves every surviving parity at zero."""
+    cells = [(row, col) for col in pattern if col < spec.k for row in range(spec.p)]
+    alive = [sidx for sidx in range(spec.r) if spec.k + sidx not in pattern]
+    for values in product(range(spec.field.q), repeat=len(cells)):
+        if not any(values):
+            continue
+        info = [[0] * spec.k for _ in range(spec.p)]
+        for (row, col), v in zip(cells, values):
+            info[row][col] = v
+        if not any(any(parity_by_definition(spec, info, sidx)) for sidx in alive):
+            return False
+    return True
 
 
 def orthogonal_pairs_r2(members, half):

@@ -315,6 +315,52 @@ def test_scrub_locates_corrupted_node_three_parities(tmp_path, capsys):
     assert {i: read(out / node_filename(i)) for i in range(6)} == before
 
 
+def encode_config(tmp_path, config, size=3000, seed=7):
+    """Encode `size` seeded random bytes; returns (node directory, {node file: bytes})."""
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(config)
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(random.Random(seed).randbytes(size))
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
+    return out, {name: read(out / name) for name in os.listdir(out) if name != "manifest"}
+
+
+def invalid_and_corrupted(out, q, invalid=0, corrupted=1):
+    """Cut one byte off one node file and change one symbol of another."""
+    path = out / node_filename(invalid)
+    write(path, read(path)[:-1])
+    path = out / node_filename(corrupted)
+    blob = bytearray(read(path))
+    blob[100] = (blob[100] + 1) % q
+    write(path, bytes(blob))
+    return {name: read(out / name) for name in os.listdir(out) if name != "manifest"}
+
+
+@pytest.mark.parametrize("config, q", [("family=standard\nm=3\nscheme=cons3\n", 3),
+                                       ("family=weightw\nm=6\nw=3\nscheme=weightw\n", 9)],
+                         ids=["cons3", "weightw"])
+def test_scrub_invalid_and_corrupted_two_parities(tmp_path, capsys, config, q):
+    # With r=2, decoding the invalid node leaves too little distance to
+    # locate the corrupted one: a stripe made consistent by patching one
+    # column may still differ from the encoded one in three columns.
+    out, _ = encode_config(tmp_path, config)
+    damaged = invalid_and_corrupted(out, q)
+    capsys.readouterr()
+    assert cli.main(["scrub", str(out)]) == 2
+    assert "uncorrectable" in capsys.readouterr().out
+    assert {name: read(out / name) for name in damaged} == damaged
+
+
+@pytest.mark.parametrize("corrupted", range(1, 7))
+def test_scrub_invalid_and_corrupted_three_parities(tmp_path, capsys, corrupted):
+    out, before = encode_config(tmp_path, "family=standard\nm=3\nr=3\nscheme=r3\n")
+    damaged = invalid_and_corrupted(out, 11, corrupted=corrupted)
+    rc = cli.main(["scrub", str(out)])
+    after = {name: read(out / name) for name in damaged}
+    assert (rc, after) in ((0, before), (2, damaged))
+
+
 # SHA-256 of the files `encode` writes for a seeded 3000-byte payload.  A
 # change to these is a change of the on-disk format.
 GOLDEN_ENCODE = {
@@ -510,7 +556,8 @@ def test_symbol_packing_roundtrip(tmp_path):
         assert zf.symbols_to_bytes(symbols, q, 256) == data
         path = tmp_path / f"stream_{q}"
         zf.write_node_file(str(path), symbols, q)
-        assert zf.read_node_file(str(path), q) == symbols
+        width = zf.symbol_width(q)
+        assert read(path) == b"".join(v.to_bytes(width, "little") for v in symbols)
     # a symbol group that decodes past one byte is corruption
     with pytest.raises(zf.FormatError):
         zf.symbols_to_bytes([2, 2, 2, 2, 2, 2], 3, 1)  # 728 > 255

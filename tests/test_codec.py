@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zzmds import gf
+from zzmds import SingularMatrixError, gf
 from zzmds.codec import (CodecError, decode_erasures, decode_error, encode,
                          rebuild_one, syndrome)
 from zzmds.construct import build_code
@@ -261,7 +261,7 @@ def test_decode_signals_undecodable_spec():
     ones = (tuple(tuple(1 for _ in range(3)) for _ in range(4)),)
     spec = build_code("table", m=2, field=f2, coefficients=ones)
     stripe = encode(spec, [[0] * 4 for _ in range(3)])
-    with pytest.raises(gf.SingularMatrixError):
+    with pytest.raises(SingularMatrixError):
         decode_erasures(spec, stripe, [0, 1])
 
 
@@ -397,3 +397,47 @@ def test_property_single_column_corruption_corrected(name, data):
     scan = decode_error(spec, bad)
     assert (scan.status, scan.location) == ("corrected", node)
     assert scan.columns == stripe
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_property_plan_runs_stripes_at_once(name, data):
+    # The plan's kernels over several stripes at once, the CLI's way, give
+    # each stripe what the single-stripe codec calls give.
+    spec = built(name)
+    plan, p, f = spec.plan, spec.p, spec.field
+    count = data.draw(st.integers(0, 4), label="stripes")
+    stripes = [drawn_stripe(data, spec) for _ in range(count)]
+
+    def joined(stripes):
+        return [[a for stripe in stripes for a in stripe[node]] for node in range(spec.n)]
+
+    cols = joined(stripes)
+    assert plan.encode(cols[:spec.k], count) == cols[spec.k:]
+
+    size = data.draw(st.integers(0, spec.r), label="size")
+    erased = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=size, max_size=size,
+                                unique=True), label="erased")
+    restored = plan.decode([None if node in erased else col for node, col in enumerate(cols)],
+                           count, erased)
+    expect = joined([decode_erasures(spec, poisoned(stripe, erased), erased)
+                     for stripe in stripes])
+    assert restored == {node: expect[node] for node in erased}
+
+    bad_stripes = []
+    for stripe in stripes:
+        bad = copied(stripe)
+        node = data.draw(st.none() | st.integers(0, spec.n - 1), label="corrupted")
+        if node is not None:
+            delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=p, max_size=p)
+                              .filter(any), label="delta")
+            bad[node] = [f.add(a, d) for a, d in zip(bad[node], delta)]
+        bad_stripes.append(bad)
+    scans = [decode_error(spec, bad) for bad in bad_stripes]
+    cols = joined(bad_stripes)
+    fixed, uncorrectable = plan.correct(cols, count)
+    assert uncorrectable is None
+    assert fixed == {t: scan.location for t, scan in enumerate(scans)
+                     if scan.status == "corrected"}
+    assert cols == joined([scan.columns for scan in scans]) == joined(stripes)

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+import oracles
 from zzmds import gf
 from zzmds.construct import (CodeSpecError, block_width, build_code,
                              default_field, is_standard_basis, verify_mds)
@@ -234,14 +237,46 @@ def test_unit_coefficients_over_gf2_not_mds():
 
 def test_no_table_over_gf2_survives_duplication():
     # Two copies need three distinct coefficient ratios; GF(2) has one.
-    # Exhaustive over all 2^8 tables (zeros included) for m=1, s=2.
+    # Exhaustive over all 2^8 tables for m=1, s=2: every table but the
+    # all-ones one holds a zero, which the builder rejects.
     f2 = gf.field_create("prime", 2)
     for bits in range(256):
         table = (tuple(tuple((bits >> (2 * col + row)) & 1 for col in range(4))
                        for row in range(2)),)
-        spec = build_code("table", m=1, s=2, field=f2, coefficients=table,
-                          validate=False)
+        if bits != 255:
+            with pytest.raises(CodeSpecError):
+                build_code("table", m=1, s=2, field=f2, coefficients=table)
+            continue
+        spec = build_code("table", m=1, s=2, field=f2, coefficients=table)
         assert not verify_mds(spec).is_mds
+
+
+ORACLE_SPECS = {
+    "cons3-m1": lambda: build_code("cons3", m=1),
+    "cons3-m2": lambda: build_code("cons3", m=2),
+    "cons4-m1-s2": lambda: build_code("cons4", m=1, s=2),
+    "r3-m1": lambda: build_code("r3", m=1),
+    "weightw-m2-w2": lambda: build_code("weightw", family="weightw", m=2, w=2),
+    "ones-gf2-m2": lambda: build_code("table", m=2, field=gf.field_create("prime", 2),
+                                      coefficients=(((1,) * 3,) * 4,)),
+    "ones-gf2-m1-s2": lambda: build_code("table", m=1, s=2, field=gf.field_create("prime", 2),
+                                         coefficients=(((1,) * 4,) * 2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_verify_mds_matches_exhaustive_search(name):
+    spec = ORACLE_SPECS[name]()
+    checked, failing = 0, None
+    for pattern in (pattern for size in range(1, spec.r + 1)
+                    for pattern in combinations(range(spec.n), size)):
+        checked += 1
+        if not oracles.decodable(spec, pattern):
+            failing = pattern
+            break
+    report = verify_mds(spec)
+    assert (report.is_mds, report.failing_pattern, report.patterns_checked) == (
+        failing is None, failing, checked)
 
 
 def test_zero_coefficient_rejected_by_validation():

@@ -184,9 +184,3 @@ def test_element_check():
         f.check(-1)
     with pytest.raises(gf.FieldError):
         f.pow(7, 2)
-
-
-def test_sparse_rank_and_overdetermined():
-    f = gf.field_create("prime", 5)
-    eqs = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 2, 1: 2}]
-    assert gf.column_rank(f, eqs, 3) == 3

@@ -23,3 +23,15 @@ def test_tables_match_field_exhaustively(field):
         assert plan.add[a] == [field.add(a, b) for b in range(q)]
         assert plan.mul[a] == [field.mul(a, b) for b in range(q)]
         assert plan.add[a][plan.neg[a]] == 0
+
+
+def test_sparse_rank_and_overdetermined():
+    f5 = gf.field_create("prime", 5)
+    plan = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,)).plan
+    eqs = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 2, 1: 2}]
+    # full rank in three unknowns; the fourth row is twice the first
+    assert plan._eliminate(eqs, 3) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    # column 1 is known: pivots stay on column 0, a row left with only
+    # known columns is dropped, and the pivot row reads u0 = -2 * s1
+    assert plan._eliminate([{0: 3, 1: 1}, {0: 1, 1: 2}], 1) == {0: {0: 1, 1: 2}}
+    assert plan._eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == {0: {0: 1, 1: 1}}

@@ -89,6 +89,26 @@ def _read_nodes(directory, spec, mf):
     return columns, sorted(problems)
 
 
+def _write_nodes(directory, spec, cols, nodes):
+    """Write the node files of `nodes` from the node columns `cols`."""
+    for node in nodes:
+        files.write_node_file(os.path.join(directory, files.node_filename(node)),
+                              cols[node], spec.field.q)
+
+
+def _repair(directory, spec, mf, cols, erased):
+    """`CodePlan.repair`, then write every node restored or corrected.  Returns
+    the sorted corrected survivors, or None after reporting an uncorrectable
+    stripe, with nothing written."""
+    fixed, bad = spec.plan.repair(cols, mf.stripe_count, erased)
+    if bad is not None:
+        print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
+        return None
+    corrected = sorted(set(fixed.values()))
+    _write_nodes(directory, spec, cols, sorted(set(erased) | set(corrected)))
+    return corrected
+
+
 def _fraction_str(fr):
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
@@ -100,8 +120,7 @@ def cmd_encode(args):
             data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read input: {e}")
-    q = spec.field.q
-    symbols = files.bytes_to_symbols(data, q)
+    symbols = files.bytes_to_symbols(data, spec.field.q)
     cap = spec.p * spec.k
     nstripes = (len(symbols) + cap - 1) // cap
     symbols.extend([0] * (nstripes * cap - len(symbols)))
@@ -113,9 +132,7 @@ def cmd_encode(args):
     per_node += spec.plan.encode(per_node, nstripes)
 
     os.makedirs(args.out, exist_ok=True)
-    for node in range(spec.n):
-        files.write_node_file(os.path.join(args.out, files.node_filename(node)),
-                              per_node[node], q)
+    _write_nodes(args.out, spec, per_node, range(spec.n))
     files.write_manifest(os.path.join(args.out, "manifest"),
                          files.manifest_for(spec, len(data), nstripes))
     print(f"encoded {len(data)} bytes into {nstripes} stripes across "
@@ -146,9 +163,8 @@ def cmd_rebuild(args):
     lost = missing[0]
 
     cols = [present.get(i) for i in range(spec.n)]
-    restored = spec.plan.rebuild(cols, mf.stripe_count, lost)
-    files.write_node_file(os.path.join(args.dir, files.node_filename(lost)),
-                          restored, spec.field.q)
+    spec.plan.decode(cols, mf.stripe_count, [lost])
+    _write_nodes(args.dir, spec, cols, [lost])
 
     print(f"rebuilt node_{lost:02d} ({mf.stripe_count} stripes)")
     if mf.stripe_count:
@@ -175,7 +191,6 @@ def cmd_decode(args):
             raise CliError("missing node index out of range")
     # nodes named as missing are regenerated even if a (distrusted) file exists
     missing = sorted(named | set(absent))
-    present = {i: c for i, c in present.items() if i not in named}
     if len(missing) > spec.r:
         print(f"{len(missing)} nodes lost; only {spec.r} recoverable", file=sys.stderr)
         return 2
@@ -184,14 +199,14 @@ def cmd_decode(args):
         return 0
 
     cols = [present.get(i) for i in range(spec.n)]
-    restored = spec.plan.decode(cols, mf.stripe_count, missing)
-    for i in missing:
-        files.write_node_file(os.path.join(args.dir, files.node_filename(i)),
-                              restored[i], spec.field.q)
-        present[i] = restored[i]
+    corrected = _repair(args.dir, spec, mf, cols, missing)
+    if corrected is None:
+        return 2
     print("restored " + " ".join(files.node_filename(i) for i in missing))
+    for node in corrected:
+        print(f"corrected node_{node:02d}")
     if args.out:
-        payload = _decode_payload(spec, mf, present)
+        payload = _decode_payload(spec, mf, cols)
         with open(args.out, "wb") as fh:
             fh.write(payload)
         print(f"wrote {len(payload)} payload bytes to {args.out}")
@@ -206,26 +221,19 @@ def cmd_scrub(args):
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
                        f"directory (use rebuild/decode first)")
 
-    # Invalid nodes cannot even enter the syndrome computation; restore
-    # them as erasures first.
+    # Invalid nodes cannot even enter the syndrome computation: they are
+    # repaired as erasures.
     if len(invalid) > spec.r:
         print(f"{len(invalid)} nodes hold invalid symbols; beyond {spec.r}-erasure repair")
         return 2
     cols = [present.get(i) for i in range(spec.n)]
-    if invalid:
-        for node, col in spec.plan.decode(cols, mf.stripe_count, invalid).items():
-            cols[node] = col
-    fixed, bad = spec.plan.correct(cols, mf.stripe_count, len(invalid))
-    if bad is not None:
-        print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
+    corrected = _repair(args.dir, spec, mf, cols, invalid)
+    if corrected is None:
         return 2
-    located = set(invalid) | set(fixed.values())
+    located = sorted(set(invalid) | set(corrected))
     if not located:
         print("no error")
-        return 0
-    for node in sorted(located):
-        files.write_node_file(os.path.join(args.dir, files.node_filename(node)),
-                              cols[node], spec.field.q)
+    for node in located:
         print(f"corrected node_{node:02d}")
     return 0
 

@@ -1,12 +1,12 @@
 """Encoding, single-node rebuild with access accounting, erasure decoding,
-and single-column error location/correction, one stripe at a time.
+and single-column error location/correction, one checked stripe at a time.
 
 A stripe is a list of n node columns of p symbols each, the k information
 columns first, then the r parity columns: the layout of the plan and of the
 node files.  Parity index 0 holds plain row sums; parity index s holds the
 coefficient-weighted sums over the sets induced by the family's shift-by-s
 permutations.  Every operation runs through the spec's compiled plan
-(`zzmds.plan`).
+(`zzmds.plan`); error correction is its `repair` with no erasures.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ def rebuild_one(spec: CodeSpec, columns, erased: int) -> tuple[list, RebuildPlan
     """
     if erased < 0 or erased >= spec.n:
         raise CodecError(f"node {erased} out of range")
-    values = spec.plan.rebuild(_checked(spec, columns, spec.n, (erased,)), 1, erased)
-    return values, spec.plan.rebuild_plan(erased)
+    cols = _checked(spec, columns, spec.n, (erased,))
+    spec.plan.decode(cols, 1, [erased])
+    return cols[erased], spec.plan.rebuild_plan(erased)
 
 
 def decode_erasures(spec: CodeSpec, columns, erased) -> list:
@@ -80,9 +81,7 @@ def decode_erasures(spec: CodeSpec, columns, erased) -> list:
     if len(erased) > spec.r:
         raise CodecError(f"cannot decode {len(erased)} erasures with r={spec.r}")
     cols = _checked(spec, columns, spec.n, erased)
-    if erased:
-        for node, values in spec.plan.decode(cols, 1, erased).items():
-            cols[node] = values
+    spec.plan.decode(cols, 1, erased)
     return cols
 
 
@@ -97,12 +96,12 @@ def decode_error(spec: CodeSpec, columns) -> ErrorScan:
     """Locate and correct at most one corrupted column.
 
     Zero syndromes mean a clean stripe.  Otherwise each node in turn is
-    erased and decoded from the others; the one whose replacement zeroes the
-    syndrome is the corrupted one.  No such node means more than one column
-    is bad.
+    rebuilt from the others (`CodePlan.repair` with no erasures); the one
+    whose rebuild zeroes the syndrome is the corrupted one.  No such node
+    means more than one column is bad.
     """
     cols = _checked(spec, columns, spec.n)
-    fixed, bad = spec.plan.correct(cols, 1)
+    fixed, bad = spec.plan.repair(cols, 1)
     if bad is not None:
         return ErrorScan("uncorrectable", None, cols)
     if fixed:

@@ -28,8 +28,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .gf import Field, field_create, gf9, is_prime
-from .perms import (RVector, VectorFamily, make_family, standard_basis_family,
-                    to_digits, unit_vector, weight_w_family)
+from .perms import (VectorFamily, make_family, standard_basis_family, to_digits,
+                    unit_vector, weight_w_family)
 
 SCHEMES = ("cons3", "cons4", "weightw", "r3", "table")
 
@@ -84,18 +84,8 @@ class CodeSpec:
     def family_index(self, col: int) -> int:
         return col // self.s
 
-    def copy_index(self, col: int) -> int:
-        return col % self.s
-
-    def vector_for(self, col: int) -> RVector:
-        return self.family.vectors[self.family_index(col)]
-
-    def zigzag_index(self, row: int, col: int, sidx: int) -> int:
-        """Which parity-sidx set the cell (row, col) belongs to."""
-        return self.family.apply(self.family_index(col), sidx, row)
-
     def source_row(self, zidx: int, col: int, sidx: int) -> int:
-        """The row of col feeding parity-sidx set zidx (inverse of zigzag_index)."""
+        """The row of col feeding parity-sidx set zidx."""
         return self.family.unapply(self.family_index(col), sidx, zidx)
 
     def coefficient(self, row: int, col: int, sidx: int) -> int:

@@ -9,8 +9,9 @@ Node columns are flat symbol lists, stripe t holding rows [t*p, (t+1)*p) of
 the node, the same layout as the node files.  A gather list computes one
 output column of a stripe: entry x lists the (node, row, mul row) terms of
 output row x, whose value is the field sum of mul_row[column[node][row]].
-Encode, syndrome, rebuild and decode are all gather lists; they differ only
-in the cells they read and the coefficients they read them with.
+Encode, syndrome, rebuild (the decode of one node) and decode are all gather
+lists; they differ only in the cells they read and the coefficients they read
+them with.  `repair` is decode plus the check of the parity left over.
 
 An erasure pattern's surviving parity equations are solved by the one
 Gauss-Jordan elimination here, on the same tables: its pivot rows are the
@@ -135,15 +136,12 @@ class CodePlan:
         consistent stripes."""
         return self.run(self._syndrome, cols, nstripes)
 
-    def rebuild(self, cols, nstripes: int, node: int) -> list:
-        """Column `node` from the cells its RebuildPlan reads."""
-        return self.run([self._target(node)[0]], cols, nstripes)[0]
-
     def rebuild_plan(self, node: int) -> RebuildPlan:
         return self._target(node)[1]
 
-    def decode(self, cols, nstripes: int, erased) -> dict:
-        """{node: column} for every erased node, from the surviving columns.
+    def decode(self, cols, nstripes: int, erased):
+        """Fill in, in place, the entries of `cols` for the erased nodes from
+        the surviving columns.
 
         Erased systematic columns come from the pattern's decode map, then
         erased parities are encoded again.  Raises SingularMatrixError when
@@ -152,7 +150,6 @@ class CodePlan:
         erased = tuple(sorted(erased))
         lost = [c for c in erased if c < self.k]
         parities = [c for c in erased if c >= self.k]
-        cols = list(cols)
         if lost:
             if erased not in self._decoders:
                 self._decoders[erased] = self._decoder(erased)
@@ -161,50 +158,39 @@ class CodePlan:
         gathers = [self.parity[c - self.k] for c in parities]
         for node, col in zip(parities, self.run(gathers, cols, nstripes)):
             cols[node] = col
-        return {node: cols[node] for node in erased}
 
-    def correct(self, cols, nstripes: int, decoded: int = 0):
-        """Find and patch, in place, a corruption confined to one column in
-        each stripe of the node columns `cols`.
-
-        `decoded` counts the columns of `cols` just decoded as erasures.  A
-        patched stripe may then differ from the true one in decoded + 2
-        columns, so a column is located only while that is at most r (the
-        column distance is r + 1); past it every inconsistent stripe is
-        uncorrectable.
-
-        Returns ({stripe: corrected node}, the first stripe no single column
-        explains or None).  Stripes after that one are left unchecked.
-        """
-        p, locate = self.p, decoded + 2 <= self.r
+    def repair(self, cols, nstripes: int, erased=()):
+        """Decode the e erased columns of `cols`, then, while e < r, check
+        every stripe with the parity left over.  While e + 2 <= r, an
+        inconsistent stripe is corrected in place by the first surviving node
+        j whose decode with the erasures makes it consistent; two such answers
+        would differ in at most e + 2 < r + 1 columns, so there is only one.
+        Returns ({stripe: corrected node}, the first uncorrectable stripe or
+        None); stripes after that one are left unchecked."""
+        erased = tuple(erased)
+        p, e = self.p, len(erased)
+        self.decode(cols, nstripes, erased)
         fixed = {}
+        if e >= self.r:
+            return fixed, None
+        candidates = [j for j in range(self.n) if j not in erased] if e + 2 <= self.r else []
         syndromes = self.syndrome(cols, nstripes)
         for t in range(nstripes):
             lo, hi = t * p, (t + 1) * p
             if not any(any(s[lo:hi]) for s in syndromes):
                 continue
-            found = locate and self._locate([col[lo:hi] for col in cols])
-            if not found:
+            stripe = [col[lo:hi] for col in cols]
+            for j in candidates:
+                trial = stripe[:]
+                self.decode(trial, 1, erased + (j,))
+                if not any(map(any, self.syndrome(trial, 1))):
+                    for node in erased + (j,):
+                        cols[node][lo:hi] = trial[node]
+                    fixed[t] = j
+                    break
+            else:
                 return fixed, t
-            node, values = found
-            cols[node][lo:hi] = values
-            fixed[t] = node
         return fixed, None
-
-    def _locate(self, cols):
-        """For one stripe (node columns of p symbols) with a nonzero syndrome:
-        (node, corrected column) for the node whose rebuild from the others
-        makes the stripe consistent, or None when no single node does.
-
-        Column distance r + 1 >= 3 leaves at most one such node for a
-        corruption confined to one column.
-        """
-        for node in range(self.n):
-            fixed = self.rebuild(cols, 1, node)
-            trial = cols[:node] + [fixed] + cols[node + 1:]
-            if not any(map(any, self.syndrome(trial, 1))):
-                return node, fixed
-        return None
 
     # -- construction ---------------------------------------------------------
 
@@ -334,8 +320,11 @@ class CodePlan:
 
     def _decoder(self, erased):
         """Gather lists of the erased systematic columns, each cell a
-        combination of surviving cells.  Each unknown u's pivot row reads
+        combination of surviving cells.  One node is read through its
+        rebuild gather.  Otherwise each unknown u's pivot row reads
         u + sum(c * s) = 0 over surviving cells s, so u = sum(-c * s)."""
+        if len(erased) == 1:
+            return [self._target(erased[0])[0]]
         p, mul, neg = self.p, self.mul, self.neg
         rows, unknowns = self._equations(erased)
         pivots = self._eliminate(rows, unknowns)

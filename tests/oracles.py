@@ -66,15 +66,30 @@ def overlap_r2(vd, ud, m):
     return len(fv & fu)
 
 
+def copy_index(spec, col):
+    """Which copy of its family vector systematic column col is."""
+    return col % spec.s
+
+
+def vector_for(spec, col):
+    """Digits of the family vector behind systematic column col."""
+    return spec.family.vectors[col // spec.s].digits
+
+
+def zigzag_index(spec, row, col, sidx):
+    """Which parity-sidx set the cell (row, col) belongs to: row moved by sidx
+    times its column's vector."""
+    return shift(row, vector_for(spec, col), sidx, spec.r, spec.m)
+
+
 def parity_by_definition(spec, info, sidx):
     """Parity column recomputed straight from the set definitions."""
-    r, m, p = spec.r, spec.m, spec.p
+    p = spec.p
     out = [0] * p
     f = spec.field
     for col in range(spec.k):
-        vd = spec.vector_for(col).digits
         for row in range(p):
-            target = shift(row, vd, sidx, r, m)
+            target = zigzag_index(spec, row, col, sidx)
             out[target] = f.add(out[target],
                                 f.mul(spec.coefficient(row, col, sidx), info[row][col]))
     return out

@@ -337,28 +337,50 @@ def invalid_and_corrupted(out, q, invalid=0, corrupted=1):
     return {name: read(out / name) for name in os.listdir(out) if name != "manifest"}
 
 
-@pytest.mark.parametrize("config, q", [("family=standard\nm=3\nscheme=cons3\n", 3),
-                                       ("family=weightw\nm=6\nw=3\nscheme=weightw\n", 9)],
-                         ids=["cons3", "weightw"])
-def test_scrub_invalid_and_corrupted_two_parities(tmp_path, capsys, config, q):
+def scrub_and_decode(cases):
+    """Each (id, values) case once under `scrub`, keeping its id, and once
+    under `decode --out`."""
+    return ([pytest.param("scrub", *values, id=name) for name, values in cases]
+            + [pytest.param("decode", *values, id=f"decode-{name}") for name, values in cases])
+
+
+def run_repair(command, out):
+    """Run `command` on the node directory; `decode` also writes the payload
+    to back.bin beside it, which this returns (None if not written)."""
+    back = out.parent / "back.bin"
+    argv = [command, str(out)] + (["--out", str(back)] if command == "decode" else [])
+    rc = cli.main(argv)
+    return rc, back.read_bytes() if back.exists() else None
+
+
+@pytest.mark.parametrize("command, config, q", scrub_and_decode(
+    [("cons3", ("family=standard\nm=3\nscheme=cons3\n", 3)),
+     ("weightw", ("family=weightw\nm=6\nw=3\nscheme=weightw\n", 9))]))
+def test_scrub_invalid_and_corrupted_two_parities(tmp_path, capsys, command, config, q):
     # With r=2, decoding the invalid node leaves too little distance to
     # locate the corrupted one: a stripe made consistent by patching one
     # column may still differ from the encoded one in three columns.
     out, _ = encode_config(tmp_path, config)
     damaged = invalid_and_corrupted(out, q)
     capsys.readouterr()
-    assert cli.main(["scrub", str(out)]) == 2
+    assert run_repair(command, out) == (2, None)
     assert "uncorrectable" in capsys.readouterr().out
     assert {name: read(out / name) for name in damaged} == damaged
 
 
-@pytest.mark.parametrize("corrupted", range(1, 7))
-def test_scrub_invalid_and_corrupted_three_parities(tmp_path, capsys, corrupted):
+@pytest.mark.parametrize("command, corrupted", scrub_and_decode(
+    [(str(j), (j,)) for j in range(1, 7)]))
+def test_scrub_invalid_and_corrupted_three_parities(tmp_path, capsys, command, corrupted):
+    # One erasure and one error: 2 * 1 + 1 <= r = 3, within column distance 4.
     out, before = encode_config(tmp_path, "family=standard\nm=3\nr=3\nscheme=r3\n")
-    damaged = invalid_and_corrupted(out, 11, corrupted=corrupted)
-    rc = cli.main(["scrub", str(out)])
-    after = {name: read(out / name) for name in damaged}
-    assert (rc, after) in ((0, before), (2, damaged))
+    invalid_and_corrupted(out, 11, corrupted=corrupted)
+    capsys.readouterr()
+    rc, payload = run_repair(command, out)
+    assert rc == 0
+    assert f"corrected node_{corrupted:02d}" in capsys.readouterr().out
+    assert {name: read(out / name) for name in before} == before
+    if command == "decode":
+        assert payload == read(tmp_path / "p.bin")
 
 
 # SHA-256 of the files `encode` writes for a seeded 3000-byte payload.  A

@@ -153,7 +153,7 @@ def test_syndrome_single_cell_delta():
                 s0, s1 = syndrome(spec, bad)
                 assert s0 == [delta if x == i else 0 for x in range(spec.p)]
                 expect = [0] * spec.p
-                expect[spec.zigzag_index(i, j, 1)] = f.mul(
+                expect[oracles.zigzag_index(spec, i, j, 1)] = f.mul(
                     spec.coefficient(i, j, 1), delta)
                 assert s1 == expect
 
@@ -419,25 +419,33 @@ def test_property_plan_runs_stripes_at_once(name, data):
     size = data.draw(st.integers(0, spec.r), label="size")
     erased = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=size, max_size=size,
                                 unique=True), label="erased")
-    restored = plan.decode([None if node in erased else col for node, col in enumerate(cols)],
-                           count, erased)
-    expect = joined([decode_erasures(spec, poisoned(stripe, erased), erased)
-                     for stripe in stripes])
-    assert restored == {node: expect[node] for node in erased}
+    restored = [None if node in erased else col for node, col in enumerate(cols)]
+    plan.decode(restored, count, erased)
+    assert restored == joined([decode_erasures(spec, poisoned(stripe, erased), erased)
+                               for stripe in stripes])
 
-    bad_stripes = []
-    for stripe in stripes:
+    # The same erasures, with one surviving column corrupted in some stripes
+    # while there is parity left over to see it, go through `repair`.
+    e, bad_stripes, corrupted = len(erased), [], {}
+    survivors = [node for node in range(spec.n) if node not in erased]
+    for t, stripe in enumerate(stripes):
         bad = copied(stripe)
-        node = data.draw(st.none() | st.integers(0, spec.n - 1), label="corrupted")
+        node = data.draw(st.none() | st.sampled_from(survivors), label="corrupted") \
+            if e < spec.r else None
         if node is not None:
             delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=p, max_size=p)
                               .filter(any), label="delta")
             bad[node] = [f.add(a, d) for a, d in zip(bad[node], delta)]
+            corrupted[t] = node
         bad_stripes.append(bad)
-    scans = [decode_error(spec, bad) for bad in bad_stripes]
-    cols = joined(bad_stripes)
-    fixed, uncorrectable = plan.correct(cols, count)
-    assert uncorrectable is None
-    assert fixed == {t: scan.location for t, scan in enumerate(scans)
-                     if scan.status == "corrected"}
-    assert cols == joined([scan.columns for scan in scans]) == joined(stripes)
+    cols = [None if node in erased else col for node, col in enumerate(joined(bad_stripes))]
+    fixed, uncorrectable = plan.repair(cols, count, erased)
+    if e + 2 <= spec.r or not corrupted:
+        # located and corrected exactly; with e = r nothing is corrupted, and
+        # repair only decodes
+        assert (fixed, uncorrectable) == (corrupted, None)
+    else:
+        # e = r - 1: the one parity left detects, but cannot locate
+        assert (fixed, uncorrectable) == ({}, min(corrupted))
+    if uncorrectable is None:
+        assert cols == joined(stripes)

@@ -41,13 +41,20 @@ def test_cons3_example_cell():
 
 def test_zigzag_index():
     spec = code53()
-    assert spec.zigzag_index(0, 0, 1) == 0
+    assert oracles.zigzag_index(spec, 0, 0, 1) == 0
     for row in range(spec.p):
         for col in range(spec.k):
-            assert spec.zigzag_index(row, col, 0) == row
+            assert oracles.zigzag_index(spec, row, col, 0) == row
 
     r3 = build_code("r3", m=2)
-    assert r3.zigzag_index(0, 1, 2) == 6  # 0 + 2*e_1 has digits (2, 0)
+    assert oracles.zigzag_index(r3, 0, 1, 2) == 6  # 0 + 2*e_1 has digits (2, 0)
+    # source_row inverts it
+    for s in (spec, r3, build_code("cons4", m=2, s=2)):
+        for row in range(s.p):
+            for col in range(s.k):
+                for sidx in range(s.r):
+                    assert s.source_row(oracles.zigzag_index(s, row, col, sidx),
+                                        col, sidx) == row
 
 
 def test_default_fields():
@@ -66,7 +73,7 @@ def test_geometry():
     assert (spec.p, spec.k, spec.n) == (4, 3, 5)
     dup = build_code("cons4", m=2, s=2)
     assert (dup.p, dup.k, dup.n) == (4, 6, 8)
-    assert dup.family_index(3) == 1 and dup.copy_index(3) == 1
+    assert dup.family_index(3) == 1 and oracles.copy_index(dup, 3) == 1
     r3 = build_code("r3", m=2)
     assert (r3.p, r3.k, r3.n) == (9, 3, 6) and r3.field.q == 7
 

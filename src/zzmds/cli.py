@@ -96,17 +96,14 @@ def _write_nodes(directory, spec, cols, nodes):
                               cols[node], spec.field.q)
 
 
-def _repair(directory, spec, mf, cols, erased):
-    """`CodePlan.repair`, then write every node restored or corrected.  Returns
-    the sorted corrected survivors, or None after reporting an uncorrectable
-    stripe, with nothing written."""
+def _repair(spec, mf, cols, erased):
+    """`CodePlan.repair`.  Returns the sorted corrected survivors, or None
+    after reporting an uncorrectable stripe."""
     fixed, bad = spec.plan.repair(cols, mf.stripe_count, erased)
     if bad is not None:
         print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
         return None
-    corrected = sorted(set(fixed.values()))
-    _write_nodes(directory, spec, cols, sorted(set(erased) | set(corrected)))
-    return corrected
+    return sorted(set(fixed.values()))
 
 
 def _fraction_str(fr):
@@ -199,16 +196,21 @@ def cmd_decode(args):
         return 0
 
     cols = [present.get(i) for i in range(spec.n)]
-    corrected = _repair(args.dir, spec, mf, cols, missing)
+    corrected = _repair(spec, mf, cols, missing)
     if corrected is None:
         return 2
-    print("restored " + " ".join(files.node_filename(i) for i in missing))
-    for node in corrected:
-        print(f"corrected node_{node:02d}")
+    # The payload goes out before any node file is written: with e = r no
+    # parity is left to check, and a stream that does not unpack, or an
+    # --out the filesystem refuses (exit 3), must leave the directory as it was.
     if args.out:
         payload = _decode_payload(spec, mf, cols)
         with open(args.out, "wb") as fh:
             fh.write(payload)
+    _write_nodes(args.dir, spec, cols, sorted(set(missing) | set(corrected)))
+    print("restored " + " ".join(files.node_filename(i) for i in missing))
+    for node in corrected:
+        print(f"corrected node_{node:02d}")
+    if args.out:
         print(f"wrote {len(payload)} payload bytes to {args.out}")
     return 0
 
@@ -227,10 +229,11 @@ def cmd_scrub(args):
         print(f"{len(invalid)} nodes hold invalid symbols; beyond {spec.r}-erasure repair")
         return 2
     cols = [present.get(i) for i in range(spec.n)]
-    corrected = _repair(args.dir, spec, mf, cols, invalid)
+    corrected = _repair(spec, mf, cols, invalid)
     if corrected is None:
         return 2
     located = sorted(set(invalid) | set(corrected))
+    _write_nodes(args.dir, spec, cols, located)
     if not located:
         print("no error")
     for node in located:
@@ -319,7 +322,8 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except files.FormatError as e:
+    except (files.FormatError, OSError) as e:
+        # a node file, manifest or output path the filesystem refuses
         print(f"error: {e}", file=sys.stderr)
         return 3
     except SingularMatrixError as e:

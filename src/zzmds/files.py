@@ -97,8 +97,17 @@ def manifest_for(spec: CodeSpec, payload_length: int, stripe_count: int) -> Mani
 def spec_from_manifest(mf: Manifest) -> CodeSpec:
     if mf.scheme == "table":
         raise FormatError("table-scheme directories carry no coefficient source")
+    # Checked from the manifest alone, before building the code: a garbled m
+    # would otherwise build a code of r^m rows first.
+    if mf.r < 2 or mf.m < 1 or mf.s < 1:
+        raise FormatError(f"bad geometry m={mf.m} r={mf.r} s={mf.s}")
+    field = field_from_token(mf.field_token)
+    per_stripe = mf.r ** mf.m * len(mf.vectors.split(",")) * mf.s
+    if mf.stripe_count != -(-mf.payload_length * digits_per_byte(field.q) // per_stripe):
+        raise FormatError(f"stripe count {mf.stripe_count} does not fit "
+                          f"{mf.payload_length} payload bytes")
     spec = build_code(mf.scheme, family="explicit", vectors=mf.vectors,
-                      m=mf.m, r=mf.r, s=mf.s, field=field_from_token(mf.field_token))
+                      m=mf.m, r=mf.r, s=mf.s, field=field)
     if spec.m != mf.m or spec.r != mf.r:
         raise FormatError("manifest geometry disagrees with its vector list")
     return spec

@@ -5,11 +5,11 @@ the residue itself.  For an extension field GF(p^w) it encodes the residue
 polynomial's coefficient vector, constant term first, read as a base-p
 integer (so for GF(2^w) the integer IS the coefficient bit-vector).
 
-Everything here is computed structurally on small ints, with no floating
-point anywhere.  This is the single definition of the arithmetic: the lookup
-tables a compiled code runs on (`zzmds.plan`), and with them the elimination
-that decodes and verifies erasure patterns there, are derived from it and
-tested against it exhaustively.
+Everything here is computed on small ints, with no floating point anywhere.
+`add`, `sub` and `mul` are structural: the single definition of the
+arithmetic.  A field walks its primitive element's powers once, with `mul`,
+into `exp` and `log`.  `pow`, `inv` and a compiled code's product table
+(`zzmds.plan`) read them; tests check each against `mul`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ class Field:
             self.modulus = modulus
             if not self._modulus_irreducible():
                 raise FieldError(f"modulus {modulus} + x^{degree} is reducible over GF({char})")
-        self.primitive = self._find_primitive()
+        # exp[i] = primitive^i; exp lists 1..q-1 once each, so sorting its
+        # indices by value gives log, with log[exp[i]] = i.  0 has no log.
+        self.primitive, self.exp = self._primitive_powers()
+        self.log = (None, *sorted(range(self.q - 1), key=self.exp.__getitem__))
 
     # -- construction helpers -------------------------------------------------
 
@@ -131,28 +134,22 @@ class Field:
                     return False
         return True
 
-    def _order(self, a: int) -> int:
-        acc = a
-        n = 1
-        while acc != 1:
-            acc = self.mul(acc, a)
-            n += 1
-            if n > self.q:
-                raise FieldError("element order computation diverged")
-        return n
-
-    def _find_primitive(self) -> int:
-        if self.q == 2:
-            return 1
-        if self.degree == 1:
-            for g in range(2, self.char):
-                if self._order(g) == self.q - 1:
-                    return g
-            raise FieldError("no primitive root found")
-        x = self.char  # the polynomial x
-        if self._order(x) != self.q - 1:
+    def _primitive_powers(self):
+        """(g, (g^0, ..., g^(q-2))) for the first g of 1, 2, ... (prime field)
+        or for g = x (extension field) whose powers reach 1 only after q - 1
+        structural multiplications."""
+        candidates = range(1, self.char) if self.degree == 1 else (self.char,)
+        for g in candidates:
+            powers = [1]
+            acc = g
+            while acc != 1:
+                powers.append(acc)
+                acc = self.mul(acc, g)
+            if len(powers) == self.q - 1:
+                return g, tuple(powers)
+        if self.degree > 1:
             raise FieldError("x is not primitive for the chosen modulus")
-        return x
+        raise FieldError("no primitive root found")
 
     # -- element operations ---------------------------------------------------
 
@@ -200,7 +197,7 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise FieldError("division by zero")
-        return self.pow(a, self.q - 2)
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         """a**e with a signed exponent, reduced mod q-1 for nonzero a."""
@@ -211,15 +208,7 @@ class Field:
             if e == 0:
                 return 1
             raise FieldError("negative power of zero")
-        e %= self.q - 1
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     def elements(self):
         return range(self.q)

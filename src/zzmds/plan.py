@@ -73,13 +73,8 @@ class _Computed:
 
 
 def _mul_table(field):
-    """The q x q product table, through discrete logarithms to the field's
-    primitive element: q - 2 field multiplications instead of q^2."""
-    q = field.q
-    exp = [1]
-    for _ in range(q - 2):
-        exp.append(field.mul(exp[-1], field.primitive))
-    log = {v: i for i, v in enumerate(exp)}
+    """The q x q product table, through the field's discrete logarithms."""
+    q, exp, log = field.q, field.exp, field.log
     return [[0] * q] + [[0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
                         for a in range(1, q)]
 

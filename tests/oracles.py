@@ -8,6 +8,23 @@ code paths under test beyond reading plain data (vectors, coefficients).
 from itertools import combinations, permutations, product
 
 
+def power(field, a, e):
+    """a**e by square-and-multiply over the structural `Field.mul`, with a
+    signed exponent reduced mod q-1 for nonzero a (Fermat)."""
+    if a == 0:
+        if e < 0:
+            raise ValueError("negative power of zero")
+        return 0 if e else 1
+    e %= field.q - 1
+    out, base = 1, a
+    while e:
+        if e & 1:
+            out = field.mul(out, base)
+        base = field.mul(base, base)
+        e >>= 1
+    return out
+
+
 def digits_of(x, r, m):
     out = [0] * m
     for i in range(m - 1, -1, -1):

@@ -2,12 +2,15 @@ import hashlib
 import os
 import random
 import re
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from zzmds import cli
+from zzmds import cli, files
 from zzmds.files import node_filename, read_manifest
+from zzmds.perms import format_vector_list, standard_basis_family
 
 CONFIG_53 = """\
 # the 4x5 array over gf(3)
@@ -383,6 +386,23 @@ def test_scrub_invalid_and_corrupted_three_parities(tmp_path, capsys, command, c
         assert payload == read(tmp_path / "p.bin")
 
 
+def test_decode_all_parity_spent_leaves_directory_on_bad_stream(tmp_path, capsys):
+    # With e = r nodes lost no parity is left to check a corrupted survivor.
+    # Here the decoded stream then fails to unpack (exit 3): no node file may
+    # have been written by then.
+    out, before = encode_config(tmp_path, "family=standard\nm=3\nscheme=cons3\n")
+    for node in (0, 1):
+        os.remove(out / node_filename(node))
+    blob = bytearray(before["node_02"])
+    blob[0] = (blob[0] + 1) % 3
+    write(out / "node_02", bytes(blob))
+    damaged = {name: read(out / name) for name in os.listdir(out)}
+    capsys.readouterr()
+    assert run_repair("decode", out) == (3, None)
+    assert "symbol group exceeds one byte" in capsys.readouterr().err
+    assert {name: read(out / name) for name in os.listdir(out)} == damaged
+
+
 # SHA-256 of the files `encode` writes for a seeded 3000-byte payload.  A
 # change to these is a change of the on-disk format.
 GOLDEN_ENCODE = {
@@ -563,6 +583,31 @@ def test_manifest_validation(workdir, capsys):
     assert "version" in capsys.readouterr().err
 
 
+def rewrite_manifest(directory, **fields):
+    """Overwrite the directory's manifest with some of its fields replaced."""
+    mf = read_manifest(str(directory / "manifest"))
+    files.write_manifest(str(directory / "manifest"), replace(mf, **fields))
+
+
+def test_garbled_manifest_m_fails_before_building(tmp_path, capsys):
+    out, _ = encode_config(tmp_path, CONFIG_53, size=100)
+    vectors = format_vector_list(standard_basis_family(16, 2).vectors)
+    rewrite_manifest(out, m=16, vectors=vectors)
+    start = time.perf_counter()
+    assert cli.main(["scrub", str(out)]) == 3
+    assert time.perf_counter() - start < 0.1
+    assert "stripe count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["r", "s"])
+def test_zero_manifest_geometry(tmp_path, capsys, field):
+    out, _ = encode_config(tmp_path, CONFIG_53, size=100)
+    rewrite_manifest(out, **{field: 0})
+    assert cli.main(["scrub", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "bad manifest" in err and "Traceback" not in err
+
+
 def test_missing_manifest(tmp_path, capsys):
     os.makedirs(tmp_path / "nothing")
     assert cli.main(["rebuild", str(tmp_path / "nothing")]) == 3
@@ -585,3 +630,28 @@ def test_symbol_packing_roundtrip(tmp_path):
         zf.symbols_to_bytes([2, 2, 2, 2, 2, 2], 3, 1)  # 728 > 255
     with pytest.raises(zf.FormatError):
         zf.symbols_to_bytes([1, 1], 3, 1)  # short stream
+
+
+@pytest.mark.parametrize("case", ["manifest-dir", "node-dir", "encode-out-file",
+                                  "decode-out-missing-dir"])
+def test_filesystem_errors_are_usage_errors(workdir, capsys, case):
+    nodes = workdir / "nodes"
+    argv = ["scrub", str(nodes)]
+    if case == "manifest-dir":
+        os.remove(nodes / "manifest")
+        os.mkdir(nodes / "manifest")
+    elif case == "node-dir":
+        os.remove(node_path(workdir, 1))
+        os.mkdir(node_path(workdir, 1))
+    elif case == "encode-out-file":
+        argv = ["encode", str(workdir / "payload.bin"), "--config", str(workdir / "code.cfg"),
+                "--out", str(workdir / "payload.bin")]
+    else:
+        os.remove(node_path(workdir, 0))
+        argv = ["decode", str(nodes), "--out", str(workdir / "absent" / "back.bin")]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if case == "decode-out-missing-dir":
+        assert not node_path(workdir, 0).exists()   # the directory is left as it was

@@ -1,7 +1,10 @@
+import functools
 import random
 
 import pytest
 
+import oracles
+from test_plan import tabulated_fields
 from zzmds import gf
 
 
@@ -184,3 +187,39 @@ def test_element_check():
         f.check(-1)
     with pytest.raises(gf.FieldError):
         f.pow(7, 2)
+
+
+@pytest.mark.parametrize("field", tabulated_fields() + [gf.field_create("prime", 257),
+                                                       gf.field_create("prime", 65521)],
+                         ids=lambda f: f.token)
+def test_exp_log_tables_walk_the_primitive(field):
+    exp, log = field.exp, field.log
+    assert len(exp) == field.q - 1 and len(log) == field.q
+    assert exp[0] == 1
+    for i in range(field.q - 2):
+        assert exp[i + 1] == field.mul(exp[i], field.primitive)
+    for i, v in enumerate(exp):
+        assert log[v] == i
+
+
+class MemoMul:
+    """The structural product of `field`, each pair computed once: the
+    square-and-multiply oracle repeats the same products many times."""
+
+    def __init__(self, field):
+        self.q, self.mul = field.q, functools.cache(field.mul)
+
+
+@pytest.mark.parametrize("field", tabulated_fields(), ids=lambda f: f.token)
+def test_pow_and_inv_match_structural_oracle(field):
+    q, structural = field.q, MemoMul(field)
+    signed = range(-q, 2 * q + 1)
+    natural = range(2 * q + 1)
+    assert [field.pow(0, e) for e in natural] == [oracles.power(field, 0, e) for e in natural]
+    with pytest.raises(gf.FieldError):
+        field.pow(0, -1)
+    for a in range(1, q):
+        # the oracle reduces e mod q-1 first: one call per residue covers `signed`
+        want = [oracles.power(structural, a, e) for e in range(q - 1)]
+        assert [field.pow(a, e) for e in signed] == [want[e % (q - 1)] for e in signed]
+        assert field.mul(a, field.inv(a)) == 1

@@ -13,7 +13,7 @@ import sys
 from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
 from .gf import FieldError, field_from_token
-from .plan import SingularMatrixError
+from .plan import SingularMatrixError, zero_column
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
 
@@ -65,24 +65,32 @@ def parse_config(path: str):
 
 
 def _load_dir(directory):
+    """The manifest and the node files' shape, from the manifest alone."""
     manifest_path = os.path.join(directory, "manifest")
     if not os.path.exists(manifest_path):
         raise CliError(f"no manifest in {directory}")
     try:
         mf = files.read_manifest(manifest_path)
-        spec = files.spec_from_manifest(mf)
+        return mf, files.node_shape(mf)
+    except (files.FormatError, FieldError, ValueError) as e:
+        raise CliError(f"bad manifest: {e}") from None
+
+
+def _spec(mf, shape):
+    """The manifest's code, built once the node files have been counted."""
+    try:
+        return files.spec_from_manifest(mf, shape)
     except (files.FormatError, CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad manifest: {e}") from None
-    return mf, spec
 
 
-def _read_nodes(directory, spec, mf):
-    """Node files that can be used as stored: ({node: symbols}, [invalid nodes]).
+def _read_nodes(directory, shape, mf):
+    """Node files that can be used as stored: ({node: column}, [invalid nodes]).
 
     An invalid file (`files.read_columns`) is left out with a warning and so
     counts as an erasure.
     """
-    columns, problems = files.read_columns(directory, spec, mf.stripe_count)
+    columns, problems = files.read_columns(directory, shape, mf.stripe_count)
     for node, problem in sorted(problems.items()):
         print(f"warning: {files.node_filename(node)} holds {problem}; treating it as lost",
               file=sys.stderr)
@@ -117,15 +125,17 @@ def cmd_encode(args):
             data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read input: {e}")
-    symbols = files.bytes_to_symbols(data, spec.field.q)
-    cap = spec.p * spec.k
+    q, p, k = spec.field.q, spec.p, spec.k
+    symbols = files.bytes_to_symbols(data, q)
+    cap = p * k
     nstripes = (len(symbols) + cap - 1) // cap
-    symbols.extend([0] * (nstripes * cap - len(symbols)))
+    symbols += zero_column(q, nstripes * cap - len(symbols))
 
-    per_node = [[] for _ in range(spec.k)]
-    for base in range(0, len(symbols), cap):
-        for j, col in enumerate(per_node):
-            col.extend(symbols[base + j * spec.p:base + (j + 1) * spec.p])
+    # stripe t of node j is symbols [t*cap + j*p, t*cap + (j+1)*p)
+    per_node = [zero_column(q, nstripes * p) for _ in range(k)]
+    for j, col in enumerate(per_node):
+        for x in range(p):
+            col[x::p] = symbols[j * p + x::cap]
     per_node += spec.plan.encode(per_node, nstripes)
 
     os.makedirs(args.out, exist_ok=True)
@@ -139,19 +149,21 @@ def cmd_encode(args):
 
 def _decode_payload(spec, mf, columns):
     """Recover the original byte payload from intact systematic columns."""
-    out = []
-    for base in range(0, mf.stripe_count * spec.p, spec.p):
-        for j in range(spec.k):
-            out.extend(columns[j][base:base + spec.p])
-    return files.symbols_to_bytes(out, spec.field.q, mf.payload_length)
+    q, p, k = spec.field.q, spec.p, spec.k
+    cap = p * k
+    out = zero_column(q, mf.stripe_count * cap)
+    for j in range(k):
+        for x in range(p):
+            out[j * p + x::cap] = columns[j][x::p]
+    return files.symbols_to_bytes(out, q, mf.payload_length)
 
 
 def cmd_rebuild(args):
-    mf, spec = _load_dir(args.dir)
-    if args.node is not None and not 0 <= args.node < spec.n:
+    mf, shape = _load_dir(args.dir)
+    if args.node is not None and not 0 <= args.node < shape.n:
         raise CliError("missing node index out of range")
-    present, _ = _read_nodes(args.dir, spec, mf)
-    missing = [i for i in range(spec.n) if i not in present]
+    present, _ = _read_nodes(args.dir, shape, mf)
+    missing = [i for i in range(shape.n) if i not in present]
     if len(missing) != 1:
         raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
                        f"(use decode for multi-node loss)")
@@ -159,6 +171,7 @@ def cmd_rebuild(args):
         raise CliError(f"node {args.node} file is present; node {missing[0]} is the missing one")
     lost = missing[0]
 
+    spec = _spec(mf, shape)
     cols = [present.get(i) for i in range(spec.n)]
     spec.plan.decode(cols, mf.stripe_count, [lost])
     _write_nodes(args.dir, spec, cols, [lost])
@@ -175,26 +188,27 @@ def cmd_rebuild(args):
 
 
 def cmd_decode(args):
-    mf, spec = _load_dir(args.dir)
-    present, _ = _read_nodes(args.dir, spec, mf)
-    absent = [i for i in range(spec.n) if i not in present]
+    mf, shape = _load_dir(args.dir)
+    present, _ = _read_nodes(args.dir, shape, mf)
+    absent = [i for i in range(shape.n) if i not in present]
     named = set()
     if args.missing:
         try:
             named = {int(tok) for tok in args.missing.split(",")}
         except ValueError:
             raise CliError("--missing takes a comma-separated list of node indices")
-        if any(i < 0 or i >= spec.n for i in named):
+        if any(i < 0 or i >= shape.n for i in named):
             raise CliError("missing node index out of range")
     # nodes named as missing are regenerated even if a (distrusted) file exists
     missing = sorted(named | set(absent))
-    if len(missing) > spec.r:
-        print(f"{len(missing)} nodes lost; only {spec.r} recoverable", file=sys.stderr)
+    if len(missing) > mf.r:
+        print(f"{len(missing)} nodes lost; only {mf.r} recoverable", file=sys.stderr)
         return 2
     if not missing and not args.out:
         print("nothing to decode")
         return 0
 
+    spec = _spec(mf, shape)
     cols = [present.get(i) for i in range(spec.n)]
     corrected = _repair(spec, mf, cols, missing)
     if corrected is None:
@@ -216,18 +230,19 @@ def cmd_decode(args):
 
 
 def cmd_scrub(args):
-    mf, spec = _load_dir(args.dir)
-    present, invalid = _read_nodes(args.dir, spec, mf)
-    missing = [i for i in range(spec.n) if i not in present and i not in invalid]
+    mf, shape = _load_dir(args.dir)
+    present, invalid = _read_nodes(args.dir, shape, mf)
+    missing = [i for i in range(shape.n) if i not in present and i not in invalid]
     if missing:
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
                        f"directory (use rebuild/decode first)")
 
     # Invalid nodes cannot even enter the syndrome computation: they are
     # repaired as erasures.
-    if len(invalid) > spec.r:
-        print(f"{len(invalid)} nodes hold invalid symbols; beyond {spec.r}-erasure repair")
+    if len(invalid) > mf.r:
+        print(f"{len(invalid)} nodes hold invalid symbols; beyond {mf.r}-erasure repair")
         return 2
+    spec = _spec(mf, shape)
     cols = [present.get(i) for i in range(spec.n)]
     corrected = _repair(spec, mf, cols, invalid)
     if corrected is None:

@@ -2,11 +2,13 @@
 and single-column error location/correction, one checked stripe at a time.
 
 A stripe is a list of n node columns of p symbols each, the k information
-columns first, then the r parity columns: the layout of the plan and of the
-node files.  Parity index 0 holds plain row sums; parity index s holds the
-coefficient-weighted sums over the sets induced by the family's shift-by-s
-permutations.  Every operation runs through the spec's compiled plan
-(`zzmds.plan`); error correction is its `repair` with no erasures.
+columns first, then the r parity columns, each a list of ints.  Parity index
+0 holds plain row sums; parity index s holds the coefficient-weighted sums
+over the sets induced by the family's shift-by-s permutations.  Every
+operation runs through the spec's compiled plan (`zzmds.plan`), the kernel
+the CLI runs over whole node files, here with one stripe: the checked
+columns are turned into the plan's node columns and the results back into
+lists.  Error correction is the plan's `repair` with no erasures.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import CodeSpec
-from .plan import RebuildPlan
+from .plan import RebuildPlan, as_column
 
 
 class CodecError(ValueError):
@@ -22,8 +24,9 @@ class CodecError(ValueError):
 
 
 def _checked(spec: CodeSpec, columns, count: int, erased=()) -> list:
-    """Copies of `count` node columns, each checked to hold p field elements.
-    Columns named in `erased` are neither checked nor read, and may be None."""
+    """`count` node columns as the plan's one-stripe columns, each checked to
+    hold p field elements.  Columns named in `erased` are neither checked nor
+    read, and may be None."""
     if len(columns) != count:
         raise CodecError(f"expected {count} columns, got {len(columns)}")
     out = []
@@ -35,14 +38,18 @@ def _checked(spec: CodeSpec, columns, count: int, erased=()) -> list:
             raise CodecError(f"column {node} holds {len(col)} symbols, not {spec.p}")
         for a in col:
             spec.field.check(a)
-        out.append(list(col))
+        out.append(as_column(spec.field.q, col))
     return out
+
+
+def _lists(cols) -> list:
+    return [list(col) for col in cols]
 
 
 def encode(spec: CodeSpec, info_columns) -> list:
     """All n columns of the stripe whose k information columns are given."""
     cols = _checked(spec, info_columns, spec.k)
-    return cols + spec.plan.encode(cols, 1)
+    return _lists(cols + spec.plan.encode(cols, 1))
 
 
 def syndrome(spec: CodeSpec, columns) -> list:
@@ -50,7 +57,7 @@ def syndrome(spec: CodeSpec, columns) -> list:
 
     All zero exactly when the stripe is consistent.
     """
-    return spec.plan.syndrome(_checked(spec, columns, spec.n), 1)
+    return _lists(spec.plan.syndrome(_checked(spec, columns, spec.n), 1))
 
 
 def rebuild_one(spec: CodeSpec, columns, erased: int) -> tuple[list, RebuildPlan]:
@@ -65,7 +72,7 @@ def rebuild_one(spec: CodeSpec, columns, erased: int) -> tuple[list, RebuildPlan
         raise CodecError(f"node {erased} out of range")
     cols = _checked(spec, columns, spec.n, (erased,))
     spec.plan.decode(cols, 1, [erased])
-    return cols[erased], spec.plan.rebuild_plan(erased)
+    return list(cols[erased]), spec.plan.rebuild_plan(erased)
 
 
 def decode_erasures(spec: CodeSpec, columns, erased) -> list:
@@ -82,7 +89,7 @@ def decode_erasures(spec: CodeSpec, columns, erased) -> list:
         raise CodecError(f"cannot decode {len(erased)} erasures with r={spec.r}")
     cols = _checked(spec, columns, spec.n, erased)
     spec.plan.decode(cols, 1, erased)
-    return cols
+    return _lists(cols)
 
 
 @dataclass
@@ -102,6 +109,7 @@ def decode_error(spec: CodeSpec, columns) -> ErrorScan:
     """
     cols = _checked(spec, columns, spec.n)
     fixed, bad = spec.plan.repair(cols, 1)
+    cols = _lists(cols)
     if bad is not None:
         return ErrorScan("uncorrectable", None, cols)
     if fixed:

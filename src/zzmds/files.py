@@ -3,6 +3,10 @@
 A directory holds one binary `manifest` describing the code and payload, plus
 one raw symbol-stream file per node (node_00, node_01, ...).  Symbols are
 field elements, one per byte for q <= 256, little-endian pairs above that.
+A node file's bytes are the node column the plan's kernel runs on
+(`zzmds.plan`): bytes for q <= 256, read as array('H') above, with stripe t
+holding symbols [t*p, (t+1)*p).  The manifest alone gives each node file's
+size, so the files are checked before the code is built.
 
 Manifest layout: magic "ZZMDS1", version u8, m/r/s u8 each, field token and
 scheme token (u8 length + ascii), vector list (u16 LE length + ascii),
@@ -13,11 +17,14 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .construct import CodeSpec, build_code
-from .gf import field_from_token
+from .gf import Field, field_from_token
 from .perms import format_vector_list
+from .plan import as_column
 
 MAGIC = b"ZZMDS1"
 VERSION = 1
@@ -94,20 +101,36 @@ def manifest_for(spec: CodeSpec, payload_length: int, stripe_count: int) -> Mani
                     payload_length, stripe_count)
 
 
-def spec_from_manifest(mf: Manifest) -> CodeSpec:
+class Shape:
+    """What the manifest alone says of the node files: n nodes of p symbols
+    a stripe, over `field`."""
+
+    __slots__ = ("n", "p", "field")
+
+    def __init__(self, n: int, p: int, field: Field):
+        self.n, self.p, self.field = n, p, field
+
+
+def node_shape(mf: Manifest) -> Shape:
+    """The node files' shape, checked from the manifest alone, before any
+    code is built: a garbled m would otherwise build a code of r^m rows first."""
     if mf.scheme == "table":
         raise FormatError("table-scheme directories carry no coefficient source")
-    # Checked from the manifest alone, before building the code: a garbled m
-    # would otherwise build a code of r^m rows first.
     if mf.r < 2 or mf.m < 1 or mf.s < 1:
         raise FormatError(f"bad geometry m={mf.m} r={mf.r} s={mf.s}")
     field = field_from_token(mf.field_token)
-    per_stripe = mf.r ** mf.m * len(mf.vectors.split(",")) * mf.s
-    if mf.stripe_count != -(-mf.payload_length * digits_per_byte(field.q) // per_stripe):
+    vectors = len(mf.vectors.split(","))
+    p = mf.r ** mf.m
+    if mf.stripe_count != -(-mf.payload_length * digits_per_byte(field.q) // (p * vectors * mf.s)):
         raise FormatError(f"stripe count {mf.stripe_count} does not fit "
                           f"{mf.payload_length} payload bytes")
+    return Shape(vectors * mf.s + mf.r, p, field)
+
+
+def spec_from_manifest(mf: Manifest, shape: Shape) -> CodeSpec:
+    """The code of a manifest whose `node_shape` is `shape`."""
     spec = build_code(mf.scheme, family="explicit", vectors=mf.vectors,
-                      m=mf.m, r=mf.r, s=mf.s, field=field)
+                      m=mf.m, r=mf.r, s=mf.s, field=shape.field)
     if spec.m != mf.m or spec.r != mf.r:
         raise FormatError("manifest geometry disagrees with its vector list")
     return spec
@@ -130,33 +153,57 @@ def symbol_width(q: int) -> int:
 
 
 def bytes_to_symbols(data: bytes, q: int):
+    """Each byte as its d = digits_per_byte(q) base-q digits, most
+    significant first: a node column of len(data) * d symbols, built by one
+    translate per digit position."""
     d = digits_per_byte(q)
-    out = []
-    for byte in data:
-        group = []
-        v = byte
-        for _ in range(d):
-            group.append(v % q)
-            v //= q
-        out.extend(reversed(group))
+    if d == 1:
+        return as_column(q, list(data))
+    out = bytearray(len(data) * d)
+    for j in range(d):
+        out[j::d] = data.translate(bytes(b // q ** (d - 1 - j) % q for b in range(256)))
     return out
 
 
 def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
+    """The first nbytes groups of digits_per_byte(q) symbols as bytes.  Each
+    group is one 16-bit lane of a big int, wide enough for any group of
+    field elements, so a group past 255 is found, never carried into its
+    neighbour."""
     d = digits_per_byte(q)
     if len(symbols) < nbytes * d:
         raise FormatError("not enough symbols for the recorded payload length")
-    out = bytearray(nbytes)
-    pos = 0
-    for i in range(nbytes):
-        v = 0
-        for _ in range(d):
-            v = v * q + symbols[pos]
-            pos += 1
-        if v > 255:
-            raise FormatError("symbol group exceeds one byte; corrupt stream")
-        out[i] = v
-    return bytes(out)
+    lanes = 0
+    for j in range(d):
+        digit = as_column(q, symbols[j:nbytes * d:d])
+        if isinstance(digit, array):
+            wide = _file_bytes(digit)
+        else:
+            wide = bytearray(2 * nbytes)
+            wide[0::2] = digit
+        lanes = lanes * q + int.from_bytes(wide, "little")
+    wide = lanes.to_bytes(2 * nbytes, "little")
+    if wide[1::2].count(0) != nbytes:
+        raise FormatError("symbol group exceeds one byte; corrupt stream")
+    return wide[0::2]
+
+
+def _file_bytes(col) -> bytes:
+    """A node column as its node file holds it."""
+    if isinstance(col, array) and sys.byteorder == "big":
+        col = array("H", col)
+        col.byteswap()
+    return bytes(col)
+
+
+def _file_column(blob: bytes, q: int):
+    """A node file's bytes as a node column: as they are for q <= 256."""
+    if symbol_width(q) == 1:
+        return blob
+    col = array("H", blob)
+    if sys.byteorder == "big":
+        col.byteswap()
+    return col
 
 
 def node_filename(i: int) -> str:
@@ -164,30 +211,23 @@ def node_filename(i: int) -> str:
 
 
 def write_node_file(path: str, symbols, q: int) -> None:
-    if symbol_width(q) == 1:
-        blob = bytes(symbols)
-    else:
-        blob = b"".join(struct.pack("<H", v) for v in symbols)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_file_bytes(as_column(q, symbols)))
 
 
-def _unpack(blob: bytes, q: int):
-    if symbol_width(q) == 1:
-        return list(blob)
-    return [v for (v,) in struct.iter_unpack("<H", blob)]
-
-
-def read_columns(directory: str, spec: CodeSpec, stripe_count: int):
-    """Node files the kernels can use: ({node: symbols}, {node: problem text}).
+def read_columns(directory: str, shape: Shape, stripe_count: int):
+    """Node files the kernels can use: ({node: node column}, {node: problem
+    text}).  A column is the file's bytes as they are, or for q > 256 those
+    bytes read as array('H').
 
     A file with a partial symbol, other than stripe_count * p symbols, or a
     symbol outside the field has a problem instead: the kernels index columns
     by stripe offset and tables by symbol, and check neither.
     """
-    q, width, want = spec.field.q, symbol_width(spec.field.q), stripe_count * spec.p
+    q = shape.field.q
+    width, want = symbol_width(q), stripe_count * shape.p
     columns, problems = {}, {}
-    for i in range(spec.n):
+    for i in range(shape.n):
         path = os.path.join(directory, node_filename(i))
         if not os.path.exists(path):
             continue
@@ -195,11 +235,13 @@ def read_columns(directory: str, spec: CodeSpec, stripe_count: int):
             blob = fh.read()
         if len(blob) % width:
             problems[i] = "a partial symbol"
-        elif len(blob) != want * width:
+            continue
+        if len(blob) != want * width:
             problems[i] = f"{len(blob) // width} symbols, not {want}"
-        elif (blob.translate(None, bytes(range(q))) if width == 1
-              else any(v >= q for (v,) in struct.iter_unpack("<H", blob))):
-            problems[i] = f"a symbol outside {spec.field.token}"
+            continue
+        col = _file_column(blob, q)
+        if col.translate(None, bytes(range(q))) if width == 1 else max(col, default=0) >= q:
+            problems[i] = f"a symbol outside {shape.field.token}"
         else:
-            columns[i] = _unpack(blob, q)
+            columns[i] = col
     return columns, problems

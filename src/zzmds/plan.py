@@ -5,13 +5,16 @@ Everything here follows from the structural `Field` and `CodeSpec` alone,
 never from the data, so it is built once per spec (`CodeSpec.plan`, on first
 use) instead of once per stripe or cell.
 
-Node columns are flat symbol lists, stripe t holding rows [t*p, (t+1)*p) of
-the node, the same layout as the node files.  A gather list computes one
-output column of a stripe: entry x lists the (node, row, mul row) terms of
-output row x, whose value is the field sum of mul_row[column[node][row]].
-Encode, syndrome, rebuild (the decode of one node) and decode are all gather
-lists; they differ only in the cells they read and the coefficients they read
-them with.  `repair` is decode plus the check of the parity left over.
+A node column is laid out as its node file: stripe t holds symbols
+[t*p, (t+1)*p).  It is bytes-like for q <= 256 and an array('H') above, so
+row x of every stripe is the row vector col[x::p].  A gather list computes
+one output column: entry x lists the (node, row, coefficient) terms of output
+row x, the field sum of coefficient * column[node][row].  A term is the same
+in every stripe, so the kernel applies it once to the row vector of all
+stripes.  Encode, syndrome, rebuild (the decode of one node) and decode are
+all gather lists; they differ only in the cells they read and the
+coefficients they read them with.  `repair` is decode plus the check of the
+parity left over.
 
 An erasure pattern's surviving parity equations are solved by the one
 Gauss-Jordan elimination here, on the same tables: its pivot rows are the
@@ -20,13 +23,16 @@ pattern's decode map, and their number is the rank `verify_mds` checks.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 # Fields up to this size get materialised q x q tables (two of at most 65536
-# entries).  Larger ones, which only explicit prime-field configs reach, read
-# the same rows computed on access instead.
+# entries) and one-byte symbols.  Larger ones, which only explicit
+# prime-field configs reach, read the same rows computed on access and keep
+# two-byte symbols in array('H') columns.
 TABLE_MAX_Q = 256
 
 
@@ -79,6 +85,71 @@ def _mul_table(field):
                         for a in range(1, q)]
 
 
+def zero_column(q: int, size: int):
+    """A node column of `size` zero symbols."""
+    return bytearray(size) if q <= TABLE_MAX_Q else array("H", bytes(2 * size))
+
+
+def as_column(q: int, symbols):
+    """A node column holding the given symbols: ints, or a node column (for
+    q > 256 not a bytes object, which array('H') would read as raw bytes)."""
+    return bytes(symbols) if q <= TABLE_MAX_Q else array("H", symbols)
+
+
+def row_arithmetic(field, mul, add):
+    """The field's two row primitives, (lift, total), chosen once per field.
+
+    lift(row, c) turns the row vector c * row into a summand, and
+    total(summands, t) returns their field sum as a row vector of t symbols.
+    - Characteristic 2: a summand is the translated row read as one big
+      int, and the sum is their XOR.
+    - Other fields whose digits fit several to a byte lane with room for
+      L >= 2 terms (odd primes up to 127, GF(9)): the translate also spreads
+      each symbol's base-char digits over the lane, one bit field each, and
+      summands are added as big ints.  Every L terms, and at the end, one
+      translate reduces each field mod char.
+    - Every other field: an element-wise map over the row.
+    """
+    q, char, degree = field.q, field.char, field.degree
+    bits = 8 // degree
+    terms = (2 ** bits - 1) // (char - 1)
+    if q <= TABLE_MAX_Q and (char == 2 or terms >= 2):
+        mask, pad = 2 ** bits - 1, bytes(256 - q)
+        lanes = bytes(sum(a // char ** i % char << bits * i for i in range(degree))
+                      for a in range(q)) + pad if char > 2 else bytes(range(256))
+        tables = [bytes(row).translate(lanes) + pad for row in mul]
+
+        def lift(row, c):
+            return int.from_bytes(row.translate(tables[c]), "little")
+
+        if char == 2:
+            def total(parts, t):
+                return reduce(xor, parts, 0).to_bytes(t, "little")
+            return lift, total
+
+        final = bytes(sum((v >> bits * i & mask) % char * char ** i for i in range(degree))
+                      for v in range(256))
+        reduced = final.translate(lanes)
+
+        def total(parts, t):
+            acc = sum(parts[:terms])
+            for i in range(terms, len(parts), terms - 1):
+                acc = (int.from_bytes(acc.to_bytes(t, "little").translate(reduced), "little")
+                       + sum(parts[i:i + terms - 1]))
+            return acc.to_bytes(t, "little").translate(final)
+        return lift, total
+
+    def lift(row, c):
+        return list(map(mul[c].__getitem__, row))
+
+    def total(parts, t):
+        acc = [0] * t
+        for part in parts:
+            acc = [add[a][b] for a, b in zip(acc, part)]
+        return as_column(q, acc)
+    return lift, total
+
+
 class CodePlan:
     """Tables, gather lists and decode maps of one CodeSpec."""
 
@@ -95,6 +166,7 @@ class CodePlan:
         else:
             self.add, self.mul = _Computed(field.add), _Computed(field.mul)
         self.neg = [field.neg(a) for a in range(q)]
+        self._lift, self._total = row_arithmetic(field, self.mul, self.add)
         self._targets = {}    # node -> (gather list, RebuildPlan)
         self._decoders = {}   # erased pattern -> gather lists of its systematic columns
 
@@ -102,21 +174,16 @@ class CodePlan:
 
     def run(self, gathers, cols, nstripes: int) -> list:
         """Apply one gather list per output column to every stripe of the node
-        columns `cols`; returns the output columns.  Only the cells the terms
+        columns `cols`; returns the output columns.  Each term is applied
+        once, to its row vector of all stripes.  Only the cells the terms
         name are read, so lost nodes may be None in `cols`."""
-        p, add = self.p, self.add
-        end = nstripes * p
+        p, q, lift, total = self.p, self.field.q, self._lift, self._total
         outs = []
         for gather in gathers:
-            cells = [(x, [(cols[node], row, mrow) for node, row, mrow in terms])
-                     for x, terms in enumerate(gather)]
-            out = [0] * end
-            for base in range(0, end, p):
-                for x, terms in cells:
-                    acc = 0
-                    for col, row, mrow in terms:
-                        acc = add[acc][mrow[col[base + row]]]
-                    out[base + x] = acc
+            out = zero_column(q, nstripes * p)
+            for x, terms in enumerate(gather):
+                out[x::p] = total([lift(cols[node][row::p], c) for node, row, c in terms],
+                                  nstripes)
             outs.append(out)
         return outs
 
@@ -156,66 +223,96 @@ class CodePlan:
 
     def repair(self, cols, nstripes: int, erased=()):
         """Decode the e erased columns of `cols`, then, while e < r, check
-        every stripe with the parity left over.  While e + 2 <= r, an
+        every stripe with the parity left over.  While e + 2 <= r, each
         inconsistent stripe is corrected in place by the first surviving node
         j whose decode with the erasures makes it consistent; two such answers
         would differ in at most e + 2 < r + 1 columns, so there is only one.
-        Returns ({stripe: corrected node}, the first uncorrectable stripe or
-        None); stripes after that one are left unchecked."""
+        Each candidate j is tried once, on the inconsistent stripes not yet
+        corrected, gathered into columns of their own.  Returns
+        ({stripe: corrected node}, the first uncorrectable stripe or None)."""
         erased = tuple(erased)
         p, e = self.p, len(erased)
         self.decode(cols, nstripes, erased)
         fixed = {}
         if e >= self.r:
             return fixed, None
+        bad = self._inconsistent(cols, nstripes)
         candidates = [j for j in range(self.n) if j not in erased] if e + 2 <= self.r else []
-        syndromes = self.syndrome(cols, nstripes)
-        for t in range(nstripes):
-            lo, hi = t * p, (t + 1) * p
-            if not any(any(s[lo:hi]) for s in syndromes):
-                continue
-            stripe = [col[lo:hi] for col in cols]
-            for j in candidates:
-                trial = stripe[:]
-                self.decode(trial, 1, erased + (j,))
-                if not any(map(any, self.syndrome(trial, 1))):
-                    for node in erased + (j,):
-                        cols[node][lo:hi] = trial[node]
+        for j in candidates:
+            if not bad:
+                break
+            nodes = erased + (j,)
+            trial = [None if node in nodes else self._stripes(col, bad)
+                     for node, col in enumerate(cols)]
+            self.decode(trial, len(bad), nodes)
+            still = set(self._inconsistent(trial, len(bad)))
+            for node in nodes:
+                if isinstance(cols[node], bytes):
+                    cols[node] = bytearray(cols[node])
+            for i, t in enumerate(bad):
+                if i not in still:
+                    for node in nodes:
+                        cols[node][t * p:(t + 1) * p] = trial[node][i * p:(i + 1) * p]
                     fixed[t] = j
-                    break
-            else:
-                return fixed, t
-        return fixed, None
+            bad = [t for i, t in enumerate(bad) if i in still]
+        return fixed, (bad[0] if bad else None)
+
+    def _inconsistent(self, cols, nstripes: int) -> list:
+        """The stripes of `cols` with a nonzero syndrome, in order."""
+        p = self.p
+        syndromes = self.syndrome(cols, nstripes)
+        zero = zero_column(self.field.q, p)
+        return [t for t in range(nstripes)
+                if any(s[t * p:(t + 1) * p] != zero for s in syndromes)]
+
+    def _stripes(self, col, stripes):
+        """The column of the given stripes of `col`."""
+        p = self.p
+        out = zero_column(self.field.q, len(stripes) * p)
+        for i, t in enumerate(stripes):
+            out[i * p:(i + 1) * p] = col[t * p:(t + 1) * p]
+        return out
 
     # -- construction ---------------------------------------------------------
 
     @cached_property
-    def _sets(self) -> list:
-        """sets[s][z]: the members of zigzag set z of parity s, one
-        (column, row, coefficient) per information column, in column order."""
-        spec = self.spec
+    def _zigzags(self) -> list:
+        """zigzags[v][s][z]: the row of a column with family vector v that
+        feeds set z of parity s, z - s*v digit by digit (`perm_unapply`),
+        built by one product over the digits."""
+        r = self.r
+        out = []
+        for vector in self.spec.family.vectors:
+            per_parity = []
+            for sidx in range(r):
+                rows = [0]
+                for d_v in vector.digits:
+                    rows = [a * r + (d - sidx * d_v) % r for a in rows for d in range(r)]
+                per_parity.append(rows)
+            out.append(per_parity)
+        return out
+
+    @cached_property
+    def parity(self) -> list:
+        """Per parity, the gather list of its zigzag sets: entry z lists the
+        members of set z, one (column, row, coefficient) per information
+        column, in column order."""
+        spec, s, zigzags = self.spec, self.spec.s, self._zigzags
         out = []
         for sidx in range(self.r):
             sets = []
             for z in range(self.p):
                 members = []
                 for col in range(self.k):
-                    y = spec.source_row(z, col, sidx)
+                    y = zigzags[col // s][sidx][z]
                     members.append((col, y, spec.coefficient(y, col, sidx)))
                 sets.append(members)
             out.append(sets)
         return out
 
     @cached_property
-    def parity(self) -> list:
-        """Per parity, the gather list of its zigzag sets."""
-        mul = self.mul
-        return [[[(col, y, mul[c]) for col, y, c in members] for members in sets]
-                for sets in self._sets]
-
-    @cached_property
     def _syndrome(self) -> list:
-        minus_one = self.mul[self.neg[1]]
+        minus_one = self.neg[1]
         return [[terms + [(self.k + sidx, z, minus_one)] for z, terms in enumerate(gather)]
                 for sidx, gather in enumerate(self.parity)]
 
@@ -236,7 +333,7 @@ class CodePlan:
         gather = [None] * p
         rows_by_parity = []
         touched = {}
-        for sidx, sets in enumerate(self._sets):
+        for sidx, sets in enumerate(self.parity):
             rows = self.spec.access_rows(j, sidx)
             rows_by_parity.append(sorted(rows))
             for z, members in enumerate(sets):
@@ -245,8 +342,8 @@ class CodePlan:
                     continue
                 ic = self.field.inv(cx)
                 minus_ic = mul[neg[ic]]
-                terms = [(k + sidx, z, mul[ic])]
-                terms += [(col, y, mul[minus_ic[c]]) for col, y, c in members if col != j]
+                terms = [(k + sidx, z, ic)]
+                terms += [(col, y, minus_ic[c]) for col, y, c in members if col != j]
                 gather[x] = terms
                 for node, row, _ in terms:
                     touched.setdefault(node, set()).add(row)
@@ -264,7 +361,7 @@ class CodePlan:
         unknowns = len(slot) * p
         minus_one = self.neg[1]
         rows = []
-        for sidx, sets in enumerate(self._sets):
+        for sidx, sets in enumerate(self.parity):
             if k + sidx in erased:
                 continue
             for z, members in enumerate(sets):
@@ -320,12 +417,12 @@ class CodePlan:
         u + sum(c * s) = 0 over surviving cells s, so u = sum(-c * s)."""
         if len(erased) == 1:
             return [self._target(erased[0])[0]]
-        p, mul, neg = self.p, self.mul, self.neg
+        p, neg = self.p, self.neg
         rows, unknowns = self._equations(erased)
         pivots = self._eliminate(rows, unknowns)
         if len(pivots) < unknowns:
             raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
-        cells = [[(*divmod(col - unknowns, p), mul[neg[c]])
+        cells = [[(*divmod(col - unknowns, p), neg[c])
                   for col, c in sorted(pivots[u].items()) if col != u]
                  for u in range(unknowns)]
         return [cells[i:i + p] for i in range(0, unknowns, p)]

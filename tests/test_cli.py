@@ -613,14 +613,21 @@ def test_missing_manifest(tmp_path, capsys):
     assert cli.main(["rebuild", str(tmp_path / "nothing")]) == 3
 
 
+PACKED_Q = (2, 3, 4, 5, 7, 9, 16, 251, 257, 65521)
+
+
 def test_symbol_packing_roundtrip(tmp_path):
     from zzmds import files as zf
     data = bytes(range(256))
-    for q in (2, 3, 4, 5, 7, 9, 16, 251, 257, 65521):
+    for q in PACKED_Q:
         symbols = zf.bytes_to_symbols(data, q)
         assert len(symbols) == 256 * zf.digits_per_byte(q)
         assert all(0 <= v < q for v in symbols)
         assert zf.symbols_to_bytes(symbols, q, 256) == data
+        # any stream of field elements: a list, a prefix, random bytes
+        assert zf.symbols_to_bytes(list(symbols), q, 100) == data[:100]
+        noise = random.Random(q).randbytes(1000)
+        assert zf.symbols_to_bytes(zf.bytes_to_symbols(noise, q), q, 1000) == noise
         path = tmp_path / f"stream_{q}"
         zf.write_node_file(str(path), symbols, q)
         width = zf.symbol_width(q)
@@ -630,6 +637,75 @@ def test_symbol_packing_roundtrip(tmp_path):
         zf.symbols_to_bytes([2, 2, 2, 2, 2, 2], 3, 1)  # 728 > 255
     with pytest.raises(zf.FormatError):
         zf.symbols_to_bytes([1, 1], 3, 1)  # short stream
+
+
+@pytest.mark.parametrize("position", [0, 20, 63])
+@pytest.mark.parametrize("q", [q for q in PACKED_Q if q ** files.digits_per_byte(q) > 256])
+def test_symbol_group_overflow_by_one(q, position):
+    # A group worth 256 beside valid groups raises; lanes never carry into
+    # the neighbours, which still unpack on their own, and 255 still fits.
+    from zzmds import files as zf
+    from zzmds.plan import as_column
+    data = random.Random(q).randbytes(64)
+    d = zf.digits_per_byte(q)
+    symbols = list(zf.bytes_to_symbols(data, q))
+
+    def group(value):
+        return [value // q ** (d - 1 - j) % q for j in range(d)]
+
+    lo, hi = position * d, (position + 1) * d
+    bad = symbols[:lo] + group(256) + symbols[hi:]
+    for stream in (bad, as_column(q, bad)):
+        with pytest.raises(zf.FormatError, match="exceeds one byte"):
+            zf.symbols_to_bytes(stream, q, len(data))
+    assert zf.symbols_to_bytes(bad[:lo], q, position) == data[:position]
+    assert zf.symbols_to_bytes(bad[hi:], q, len(data) - position - 1) == data[position + 1:]
+    top = symbols[:lo] + group(255) + symbols[hi:]
+    assert zf.symbols_to_bytes(top, q, len(data)) == data[:position] + b"\xff" + data[position + 1:]
+
+
+def test_scrub_corrects_many_stripes_at_once(tmp_path, capsys):
+    out, before = encode_config(tmp_path, "family=standard\nm=3\nscheme=cons3\n")
+    p, stripes = 8, read_manifest(str(out / "manifest")).stripe_count
+
+    def bump(node, positions):
+        blob = bytearray(read(out / node_filename(node)))
+        for pos in positions:
+            blob[pos] = (blob[pos] + 1) % 3
+        write(out / node_filename(node), bytes(blob))
+
+    # a different node in each of six stripes
+    for node, t in enumerate((3, 40, 41, 100, 200, stripes - 1)):
+        bump(node, [t * p + node])
+    capsys.readouterr()
+    assert cli.main(["scrub", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert all(f"corrected node_{node:02d}" in text for node in range(6))
+    assert {name: read(out / name) for name in before} == before
+
+    # node_01 in every stripe
+    bump(1, [t * p + t % p for t in range(stripes)])
+    assert cli.main(["scrub", str(out)]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == "corrected node_01"
+    assert {name: read(out / name) for name in before} == before
+
+
+@pytest.mark.parametrize("command, code, message", [("scrub", 3, "19 node files missing"),
+                                                     ("decode", 2, "19 nodes lost"),
+                                                     ("rebuild", 3, "19 nodes missing")])
+def test_manifest_only_directory_fails_before_building(tmp_path, capsys, command, code, message):
+    # an empty payload passes the stripe-count check for any m; the node
+    # files are counted from the manifest before cons3 m=16 is built
+    out = tmp_path / "nodes"
+    os.makedirs(out)
+    vectors = format_vector_list(standard_basis_family(16, 2).vectors)
+    files.write_manifest(str(out / "manifest"),
+                         files.Manifest(16, 2, 1, "gf(3)", "cons3", vectors, 0, 0))
+    start = time.perf_counter()
+    assert cli.main([command, str(out)]) == code
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
 
 
 @pytest.mark.parametrize("case", ["manifest-dir", "node-dir", "encode-out-file",

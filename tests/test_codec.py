@@ -11,6 +11,8 @@ from zzmds import SingularMatrixError, gf
 from zzmds.codec import (CodecError, decode_erasures, decode_error, encode,
                          rebuild_one, syndrome)
 from zzmds.construct import build_code
+from zzmds.perms import perm_unapply
+from zzmds.plan import as_column
 
 
 def code53():
@@ -411,7 +413,8 @@ def test_property_plan_runs_stripes_at_once(name, data):
     stripes = [drawn_stripe(data, spec) for _ in range(count)]
 
     def joined(stripes):
-        return [[a for stripe in stripes for a in stripe[node]] for node in range(spec.n)]
+        return [as_column(f.q, [a for stripe in stripes for a in stripe[node]])
+                for node in range(spec.n)]
 
     cols = joined(stripes)
     assert plan.encode(cols[:spec.k], count) == cols[spec.k:]
@@ -449,3 +452,35 @@ def test_property_plan_runs_stripes_at_once(name, data):
         assert (fixed, uncorrectable) == ({}, min(corrupted))
     if uncorrectable is None:
         assert cols == joined(stripes)
+
+
+def test_zigzag_lists_match_perm_unapply(spec):
+    zigzags = spec.plan._zigzags
+    assert len(zigzags) == len(spec.family.vectors)
+    for vector, per_parity in zip(spec.family.vectors, zigzags):
+        assert len(per_parity) == spec.r
+        for sidx, rows in enumerate(per_parity):
+            assert rows == [perm_unapply(vector, sidx, z) for z in range(spec.p)]
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_property_run_matches_cell_oracle(name, data):
+    # The row kernel gives, for any columns, what the per-cell sums give:
+    # encode, syndrome, a rebuild and a decode gather, over T stripes.
+    spec = built(name)
+    plan, p, q = spec.plan, spec.p, spec.field.q
+    count = data.draw(st.integers(0, 40), label="stripes")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    cols = [[rng.randrange(q) for _ in range(count * p)] for _ in range(spec.n)]
+    node = data.draw(st.integers(0, spec.n - 1), label="rebuilt")
+    lost = data.draw(st.integers(0, spec.k - 1), label="lost")
+    size = data.draw(st.integers(1, spec.r - 1), label="also erased")
+    others = data.draw(st.lists(st.integers(0, spec.n - 1).filter(lambda c: c != lost),
+                                min_size=size, max_size=size, unique=True), label="others")
+    pattern = tuple(sorted([lost, *others]))
+    maps = [plan.parity, plan._syndrome, [plan._target(node)[0]], plan._decoder(pattern)]
+    for gathers in maps:
+        got = plan.run(gathers, [as_column(q, col) for col in cols], count)
+        assert [list(col) for col in got] == oracles.run_by_cells(spec, gathers, cols, count)

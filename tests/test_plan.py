@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from zzmds import gf
 from zzmds.construct import build_code
-from zzmds.plan import TABLE_MAX_Q
+from zzmds.plan import TABLE_MAX_Q, as_column
 
 
 def tabulated_fields():
@@ -35,3 +37,57 @@ def test_sparse_rank_and_overdetermined():
     # known columns is dropped, and the pivot row reads u0 = -2 * s1
     assert plan._eliminate([{0: 3, 1: 1}, {0: 1, 1: 2}], 1) == {0: {0: 1, 1: 2}}
     assert plan._eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == {0: {0: 1, 1: 1}}
+
+
+def row_primitives(field):
+    """The (lift, total) row primitives a plan over `field` picked."""
+    ones = ((((1,) * 2),) * 2,)
+    plan = build_code("table", m=1, field=field, coefficients=ones).plan
+    return plan._lift, plan._total
+
+
+# GF(25) and GF(49) sum in bit-field lanes as GF(9) does; GF(27) has no room
+# for two terms in a lane and sums element by element, as GF(257) and
+# GF(65521) do.
+ODD_EXTENSIONS = [gf.Field(5, 2, (2, 1)), gf.Field(3, 3, (1, 0, 2)), gf.Field(7, 2, (3, 1))]
+
+
+@pytest.mark.parametrize("field", tabulated_fields() + ODD_EXTENSIONS
+                         + [gf.field_create("prime", 257), gf.field_create("prime", 65521)],
+                         ids=lambda f: f.token)
+def test_row_primitives_match_field(field):
+    q = field.q
+    lift, total = row_primitives(field)
+    rng = random.Random(q)
+    # scale: every coefficient times every element (a sample past the tables)
+    if q <= 2 * TABLE_MAX_Q:
+        elements, coefficients = list(range(q)), range(q)
+    else:
+        elements = list(range(300)) + list(range(q - 300, q))
+        coefficients = [0, 1, 2, q - 1] + rng.sample(range(3, q - 1), 4)
+    row = as_column(q, elements)
+    for c in coefficients:
+        assert list(total([lift(row, c)], len(row))) == [field.mul(c, a) for a in elements]
+
+    def field_sum(rows, cs):
+        out = [0] * len(rows[0]) if rows else []
+        for r, c in zip(rows, cs):
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, r)]
+        return out
+
+    # sums: one past the lane reduction boundary of the largest element,
+    # floor(255 / (q-1)) terms for a prime field and floor((2^b - 1) / (char
+    # - 1)) for b-bit digit fields, then random terms and coefficients, past
+    # it several times over
+    t = 37
+    bound = 255 // (q - 1) + 1 if q <= TABLE_MAX_Q else 3
+    digit_bound = (2 ** (8 // field.degree) - 1) // (field.char - 1) + 1
+    for count in {bound, digit_bound}:
+        top = [[q - 1] * t] * count
+        got = total([lift(as_column(q, r), 1) for r in top], t)
+        assert list(got) == field_sum(top, [1] * count)
+    for count in (0, 1, 2, bound, digit_bound, 3 * bound + 1):
+        rows = [[rng.randrange(q) for _ in range(t)] for _ in range(count)]
+        cs = [rng.randrange(q) for _ in range(count)]
+        got = total([lift(as_column(q, r), c) for r, c in zip(rows, cs)], t)
+        assert list(got) == (field_sum(rows, cs) if count else [0] * t)

@@ -13,7 +13,8 @@ import sys
 from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
 from .gf import FieldError, field_from_token
-from .plan import SingularMatrixError, zero_column
+from .files import zero_column
+from .plan import SingularMatrixError
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
 
@@ -65,7 +66,7 @@ def parse_config(path: str):
 
 
 def _load_dir(directory):
-    """The manifest and the node files' shape, from the manifest alone."""
+    """The manifest and the node files' (n, p, field), from the manifest alone."""
     manifest_path = os.path.join(directory, "manifest")
     if not os.path.exists(manifest_path):
         raise CliError(f"no manifest in {directory}")
@@ -76,10 +77,10 @@ def _load_dir(directory):
         raise CliError(f"bad manifest: {e}") from None
 
 
-def _spec(mf, shape):
+def _spec(mf, field):
     """The manifest's code, built once the node files have been counted."""
     try:
-        return files.spec_from_manifest(mf, shape)
+        return files.spec_from_manifest(mf, field)
     except (files.FormatError, CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad manifest: {e}") from None
 
@@ -160,10 +161,11 @@ def _decode_payload(spec, mf, columns):
 
 def cmd_rebuild(args):
     mf, shape = _load_dir(args.dir)
-    if args.node is not None and not 0 <= args.node < shape.n:
+    n, _, field = shape
+    if args.node is not None and not 0 <= args.node < n:
         raise CliError("missing node index out of range")
     present, _ = _read_nodes(args.dir, shape, mf)
-    missing = [i for i in range(shape.n) if i not in present]
+    missing = [i for i in range(n) if i not in present]
     if len(missing) != 1:
         raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
                        f"(use decode for multi-node loss)")
@@ -171,7 +173,7 @@ def cmd_rebuild(args):
         raise CliError(f"node {args.node} file is present; node {missing[0]} is the missing one")
     lost = missing[0]
 
-    spec = _spec(mf, shape)
+    spec = _spec(mf, field)
     cols = [present.get(i) for i in range(spec.n)]
     spec.plan.decode(cols, mf.stripe_count, [lost])
     _write_nodes(args.dir, spec, cols, [lost])
@@ -189,15 +191,16 @@ def cmd_rebuild(args):
 
 def cmd_decode(args):
     mf, shape = _load_dir(args.dir)
+    n, _, field = shape
     present, _ = _read_nodes(args.dir, shape, mf)
-    absent = [i for i in range(shape.n) if i not in present]
+    absent = [i for i in range(n) if i not in present]
     named = set()
     if args.missing:
         try:
             named = {int(tok) for tok in args.missing.split(",")}
         except ValueError:
             raise CliError("--missing takes a comma-separated list of node indices")
-        if any(i < 0 or i >= shape.n for i in named):
+        if any(i < 0 or i >= n for i in named):
             raise CliError("missing node index out of range")
     # nodes named as missing are regenerated even if a (distrusted) file exists
     missing = sorted(named | set(absent))
@@ -208,7 +211,7 @@ def cmd_decode(args):
         print("nothing to decode")
         return 0
 
-    spec = _spec(mf, shape)
+    spec = _spec(mf, field)
     cols = [present.get(i) for i in range(spec.n)]
     corrected = _repair(spec, mf, cols, missing)
     if corrected is None:
@@ -231,8 +234,9 @@ def cmd_decode(args):
 
 def cmd_scrub(args):
     mf, shape = _load_dir(args.dir)
+    n, _, field = shape
     present, invalid = _read_nodes(args.dir, shape, mf)
-    missing = [i for i in range(shape.n) if i not in present and i not in invalid]
+    missing = [i for i in range(n) if i not in present and i not in invalid]
     if missing:
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
                        f"directory (use rebuild/decode first)")
@@ -242,7 +246,7 @@ def cmd_scrub(args):
     if len(invalid) > mf.r:
         print(f"{len(invalid)} nodes hold invalid symbols; beyond {mf.r}-erasure repair")
         return 2
-    spec = _spec(mf, shape)
+    spec = _spec(mf, field)
     cols = [present.get(i) for i in range(spec.n)]
     corrected = _repair(spec, mf, cols, invalid)
     if corrected is None:

@@ -13,10 +13,11 @@ lists.  Error correction is the plan's `repair` with no erasures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import CodeSpec
-from .plan import RebuildPlan, as_column
+from .files import as_column
+from .plan import RebuildPlan
 
 
 class CodecError(ValueError):
@@ -92,8 +93,7 @@ def decode_erasures(spec: CodeSpec, columns, erased) -> list:
     return _lists(cols)
 
 
-@dataclass
-class ErrorScan:
+class ErrorScan(NamedTuple):
     status: str          # 'clean' | 'corrected' | 'uncorrectable'
     location: object     # corrected node index, or None
     columns: list

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .gf import Field, field_create, gf9, is_prime
 from .perms import (VectorFamily, make_family, standard_basis_family, to_digits,
@@ -343,8 +344,7 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
     return spec
 
 
-@dataclass(frozen=True)
-class MdsReport:
+class MdsReport(NamedTuple):
     is_mds: bool
     failing_pattern: tuple  # node indices, or None
     patterns_checked: int

@@ -4,9 +4,11 @@ A directory holds one binary `manifest` describing the code and payload, plus
 one raw symbol-stream file per node (node_00, node_01, ...).  Symbols are
 field elements, one per byte for q <= 256, little-endian pairs above that.
 A node file's bytes are the node column the plan's kernel runs on
-(`zzmds.plan`): bytes for q <= 256, read as array('H') above, with stripe t
-holding symbols [t*p, (t+1)*p).  The manifest alone gives each node file's
-size, so the files are checked before the code is built.
+(`zzmds.plan`): a bytearray for 1-byte symbols, an array('H') for 2-byte
+ones, with stripe t holding symbols [t*p, (t+1)*p).  The column form is
+defined here, by `symbol_width`, and the plan builds its columns with it.
+The manifest alone gives each node file's size, so the files are checked
+before the code is built.
 
 Manifest layout: magic "ZZMDS1", version u8, m/r/s u8 each, field token and
 scheme token (u8 length + ascii), vector list (u16 LE length + ascii),
@@ -19,12 +21,11 @@ import os
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import CodeSpec, build_code
-from .gf import Field, field_from_token
+from .gf import field_from_token
 from .perms import format_vector_list
-from .plan import as_column
 
 MAGIC = b"ZZMDS1"
 VERSION = 1
@@ -34,8 +35,7 @@ class FormatError(ValueError):
     pass
 
 
-@dataclass
-class Manifest:
+class Manifest(NamedTuple):
     m: int
     r: int
     s: int
@@ -101,19 +101,10 @@ def manifest_for(spec: CodeSpec, payload_length: int, stripe_count: int) -> Mani
                     payload_length, stripe_count)
 
 
-class Shape:
-    """What the manifest alone says of the node files: n nodes of p symbols
-    a stripe, over `field`."""
-
-    __slots__ = ("n", "p", "field")
-
-    def __init__(self, n: int, p: int, field: Field):
-        self.n, self.p, self.field = n, p, field
-
-
-def node_shape(mf: Manifest) -> Shape:
-    """The node files' shape, checked from the manifest alone, before any
-    code is built: a garbled m would otherwise build a code of r^m rows first."""
+def node_shape(mf: Manifest) -> tuple:
+    """The node files' shape (n nodes of p symbols a stripe, over `field`),
+    checked from the manifest alone, before any code is built: a garbled m
+    would otherwise build a code of r^m rows first."""
     if mf.scheme == "table":
         raise FormatError("table-scheme directories carry no coefficient source")
     if mf.r < 2 or mf.m < 1 or mf.s < 1:
@@ -124,13 +115,13 @@ def node_shape(mf: Manifest) -> Shape:
     if mf.stripe_count != -(-mf.payload_length * digits_per_byte(field.q) // (p * vectors * mf.s)):
         raise FormatError(f"stripe count {mf.stripe_count} does not fit "
                           f"{mf.payload_length} payload bytes")
-    return Shape(vectors * mf.s + mf.r, p, field)
+    return vectors * mf.s + mf.r, p, field
 
 
-def spec_from_manifest(mf: Manifest, shape: Shape) -> CodeSpec:
-    """The code of a manifest whose `node_shape` is `shape`."""
+def spec_from_manifest(mf: Manifest, field) -> CodeSpec:
+    """The code of a manifest whose `node_shape` gave `field`."""
     spec = build_code(mf.scheme, family="explicit", vectors=mf.vectors,
-                      m=mf.m, r=mf.r, s=mf.s, field=shape.field)
+                      m=mf.m, r=mf.r, s=mf.s, field=field)
     if spec.m != mf.m or spec.r != mf.r:
         raise FormatError("manifest geometry disagrees with its vector list")
     return spec
@@ -150,6 +141,39 @@ def digits_per_byte(q: int) -> int:
 
 def symbol_width(q: int) -> int:
     return 1 if q <= 256 else 2
+
+
+# -- node columns: a node file's symbols in memory ---------------------------
+
+
+def zero_column(q: int, size: int):
+    """A node column of `size` zero symbols."""
+    return bytearray(size) if symbol_width(q) == 1 else array("H", bytes(2 * size))
+
+
+def as_column(q: int, symbols):
+    """A node column holding the given symbols: ints, or a node column (for
+    2-byte symbols not a bytes object, which array('H') would read as raw
+    bytes)."""
+    return bytearray(symbols) if symbol_width(q) == 1 else array("H", symbols)
+
+
+def _file_bytes(col) -> bytes:
+    """A node column as its node file holds it."""
+    if isinstance(col, array) and sys.byteorder == "big":
+        col = array("H", col)
+        col.byteswap()
+    return bytes(col)
+
+
+def _file_column(blob: bytes, q: int):
+    """A node file's bytes as a node column."""
+    if symbol_width(q) == 1:
+        return bytearray(blob)
+    col = array("H", blob)
+    if sys.byteorder == "big":
+        col.byteswap()
+    return col
 
 
 def bytes_to_symbols(data: bytes, q: int):
@@ -176,7 +200,7 @@ def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
     lanes = 0
     for j in range(d):
         digit = as_column(q, symbols[j:nbytes * d:d])
-        if isinstance(digit, array):
+        if symbol_width(q) == 2:
             wide = _file_bytes(digit)
         else:
             wide = bytearray(2 * nbytes)
@@ -188,24 +212,6 @@ def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
     return wide[0::2]
 
 
-def _file_bytes(col) -> bytes:
-    """A node column as its node file holds it."""
-    if isinstance(col, array) and sys.byteorder == "big":
-        col = array("H", col)
-        col.byteswap()
-    return bytes(col)
-
-
-def _file_column(blob: bytes, q: int):
-    """A node file's bytes as a node column: as they are for q <= 256."""
-    if symbol_width(q) == 1:
-        return blob
-    col = array("H", blob)
-    if sys.byteorder == "big":
-        col.byteswap()
-    return col
-
-
 def node_filename(i: int) -> str:
     return f"node_{i:02d}"
 
@@ -215,19 +221,19 @@ def write_node_file(path: str, symbols, q: int) -> None:
         fh.write(_file_bytes(as_column(q, symbols)))
 
 
-def read_columns(directory: str, shape: Shape, stripe_count: int):
+def read_columns(directory: str, shape: tuple, stripe_count: int):
     """Node files the kernels can use: ({node: node column}, {node: problem
-    text}).  A column is the file's bytes as they are, or for q > 256 those
-    bytes read as array('H').
+    text}), for the (n, p, field) of `node_shape`.
 
     A file with a partial symbol, other than stripe_count * p symbols, or a
     symbol outside the field has a problem instead: the kernels index columns
     by stripe offset and tables by symbol, and check neither.
     """
-    q = shape.field.q
-    width, want = symbol_width(q), stripe_count * shape.p
+    n, p, field = shape
+    q = field.q
+    width, want = symbol_width(q), stripe_count * p
     columns, problems = {}, {}
-    for i in range(shape.n):
+    for i in range(n):
         path = os.path.join(directory, node_filename(i))
         if not os.path.exists(path):
             continue
@@ -241,7 +247,7 @@ def read_columns(directory: str, shape: Shape, stripe_count: int):
             continue
         col = _file_column(blob, q)
         if col.translate(None, bytes(range(q))) if width == 1 else max(col, default=0) >= q:
-            problems[i] = f"a symbol outside {shape.field.token}"
+            problems[i] = f"a symbol outside {field.token}"
         else:
             columns[i] = col
     return columns, problems

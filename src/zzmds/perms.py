@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 def to_digits(x: int, r: int, m: int):
@@ -188,8 +189,7 @@ def rebuild_overlap(v: RVector, u: RVector):
     return len(fv & fu)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     ok: bool
     violations: tuple  # (v_index, u_index, parity) triples
 

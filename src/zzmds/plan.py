@@ -5,12 +5,12 @@ Everything here follows from the structural `Field` and `CodeSpec` alone,
 never from the data, so it is built once per spec (`CodeSpec.plan`, on first
 use) instead of once per stripe or cell.
 
-A node column is laid out as its node file: stripe t holds symbols
-[t*p, (t+1)*p).  It is bytes-like for q <= 256 and an array('H') above, so
-row x of every stripe is the row vector col[x::p].  A gather list computes
-one output column: entry x lists the (node, row, coefficient) terms of output
-row x, the field sum of coefficient * column[node][row].  A term is the same
-in every stripe, so the kernel applies it once to the row vector of all
+A node column is laid out as its node file (`zzmds.files`, which defines
+the column form): stripe t holds symbols [t*p, (t+1)*p), so row x of every
+stripe is the row vector col[x::p].  A gather list computes one output
+column: entry x lists the (node, row, coefficient) terms of output row x,
+the field sum of coefficient * column[node][row].  A term is the same in
+every stripe, so the kernel applies it once to the row vector of all
 stripes.  Encode, syndrome, rebuild (the decode of one node) and decode are
 all gather lists; they differ only in the cells they read and the
 coefficients they read them with.  `repair` is decode plus the check of the
@@ -23,16 +23,17 @@ pattern's decode map, and their number is the rank `verify_mds` checks.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import xor
+from typing import NamedTuple
+
+from .files import as_column, zero_column
 
 # Fields up to this size get materialised q x q tables (two of at most 65536
-# entries) and one-byte symbols.  Larger ones, which only explicit
-# prime-field configs reach, read the same rows computed on access and keep
-# two-byte symbols in array('H') columns.
+# entries).  Larger ones, which only explicit prime-field configs reach, read
+# the same rows computed on access instead.
 TABLE_MAX_Q = 256
 
 
@@ -40,8 +41,7 @@ class SingularMatrixError(ValueError):
     """The surviving columns do not determine the erased ones."""
 
 
-@dataclass(frozen=True)
-class RebuildPlan:
+class RebuildPlan(NamedTuple):
     """What a single-node rebuild reads: per-parity row assignment for the
     erased column and the exact set of cells touched per surviving node."""
 
@@ -85,22 +85,12 @@ def _mul_table(field):
                         for a in range(1, q)]
 
 
-def zero_column(q: int, size: int):
-    """A node column of `size` zero symbols."""
-    return bytearray(size) if q <= TABLE_MAX_Q else array("H", bytes(2 * size))
-
-
-def as_column(q: int, symbols):
-    """A node column holding the given symbols: ints, or a node column (for
-    q > 256 not a bytes object, which array('H') would read as raw bytes)."""
-    return bytes(symbols) if q <= TABLE_MAX_Q else array("H", symbols)
-
-
 def row_arithmetic(field, mul, add):
     """The field's two row primitives, (lift, total), chosen once per field.
 
     lift(row, c) turns the row vector c * row into a summand, and
     total(summands, t) returns their field sum as a row vector of t symbols.
+    For q <= 256 the product c * row is one translate of the row.
     - Characteristic 2: a summand is the translated row read as one big
       int, and the sum is their XOR.
     - Other fields whose digits fit several to a byte lane with room for
@@ -108,45 +98,53 @@ def row_arithmetic(field, mul, add):
       each symbol's base-char digits over the lane, one bit field each, and
       summands are added as big ints.  Every L terms, and at the end, one
       translate reduces each field mod char.
-    - Every other field: an element-wise map over the row.
+    - Every other field: the summands are the products themselves, summed
+      cell by cell; a prime field adds them as integers and reduces mod q
+      once.
     """
     q, char, degree = field.q, field.char, field.degree
     bits = 8 // degree
     terms = (2 ** bits - 1) // (char - 1)
-    if q <= TABLE_MAX_Q and (char == 2 or terms >= 2):
+    big_ints = q <= TABLE_MAX_Q and (char == 2 or terms >= 2)
+    if q <= TABLE_MAX_Q:
         mask, pad = 2 ** bits - 1, bytes(256 - q)
-        lanes = bytes(sum(a // char ** i % char << bits * i for i in range(degree))
-                      for a in range(q)) + pad if char > 2 else bytes(range(256))
+        lanes = (bytes(sum(a // char ** i % char << bits * i for i in range(degree))
+                       for a in range(q)) + pad if big_ints and char > 2 else bytes(range(256)))
         tables = [bytes(row).translate(lanes) + pad for row in mul]
 
+    if not big_ints:
         def lift(row, c):
-            return int.from_bytes(row.translate(tables[c]), "little")
-
-        if char == 2:
-            def total(parts, t):
-                return reduce(xor, parts, 0).to_bytes(t, "little")
-            return lift, total
-
-        final = bytes(sum((v >> bits * i & mask) % char * char ** i for i in range(degree))
-                      for v in range(256))
-        reduced = final.translate(lanes)
+            if q <= TABLE_MAX_Q:
+                return row.translate(tables[c])
+            return list(map(mul[c].__getitem__, row))
 
         def total(parts, t):
-            acc = sum(parts[:terms])
-            for i in range(terms, len(parts), terms - 1):
-                acc = (int.from_bytes(acc.to_bytes(t, "little").translate(reduced), "little")
-                       + sum(parts[i:i + terms - 1]))
-            return acc.to_bytes(t, "little").translate(final)
+            if degree == 1:
+                return as_column(q, [sum(v) % q for v in zip(bytes(t), *parts)])
+            acc = [0] * t
+            for part in parts:
+                acc = [add[a][b] for a, b in zip(acc, part)]
+            return as_column(q, acc)
         return lift, total
 
     def lift(row, c):
-        return list(map(mul[c].__getitem__, row))
+        return int.from_bytes(row.translate(tables[c]), "little")
+
+    if char == 2:
+        def total(parts, t):
+            return reduce(xor, parts, 0).to_bytes(t, "little")
+        return lift, total
+
+    final = bytes(sum((v >> bits * i & mask) % char * char ** i for i in range(degree))
+                  for v in range(256))
+    reduced = final.translate(lanes)
 
     def total(parts, t):
-        acc = [0] * t
-        for part in parts:
-            acc = [add[a][b] for a, b in zip(acc, part)]
-        return as_column(q, acc)
+        acc = sum(parts[:terms])
+        for i in range(terms, len(parts), terms - 1):
+            acc = (int.from_bytes(acc.to_bytes(t, "little").translate(reduced), "little")
+                   + sum(parts[i:i + terms - 1]))
+        return acc.to_bytes(t, "little").translate(final)
     return lift, total
 
 
@@ -246,9 +244,6 @@ class CodePlan:
                      for node, col in enumerate(cols)]
             self.decode(trial, len(bad), nodes)
             still = set(self._inconsistent(trial, len(bad)))
-            for node in nodes:
-                if isinstance(cols[node], bytes):
-                    cols[node] = bytearray(cols[node])
             for i, t in enumerate(bad):
                 if i not in still:
                     for node in nodes:

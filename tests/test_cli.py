@@ -3,7 +3,6 @@ import os
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -586,7 +585,7 @@ def test_manifest_validation(workdir, capsys):
 def rewrite_manifest(directory, **fields):
     """Overwrite the directory's manifest with some of its fields replaced."""
     mf = read_manifest(str(directory / "manifest"))
-    files.write_manifest(str(directory / "manifest"), replace(mf, **fields))
+    files.write_manifest(str(directory / "manifest"), mf._replace(**fields))
 
 
 def test_garbled_manifest_m_fails_before_building(tmp_path, capsys):

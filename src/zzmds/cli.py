@@ -85,17 +85,18 @@ def _spec(mf, field):
         raise CliError(f"bad manifest: {e}") from None
 
 
-def _read_nodes(directory, shape, mf):
-    """Node files that can be used as stored: ({node: column}, [invalid nodes]).
+def _read_nodes(directory, shape, mf, rows=None):
+    """Node files that can be used as stored: ({node: column}, [invalid nodes],
+    bytes read), of the nodes and rows `rows` names, or of every node whole.
 
     An invalid file (`files.read_columns`) is left out with a warning and so
     counts as an erasure.
     """
-    columns, problems = files.read_columns(directory, shape, mf.stripe_count)
+    columns, problems, nread = files.read_columns(directory, shape, mf.stripe_count, rows)
     for node, problem in sorted(problems.items()):
         print(f"warning: {files.node_filename(node)} holds {problem}; treating it as lost",
               file=sys.stderr)
-    return columns, sorted(problems)
+    return columns, sorted(problems), nread
 
 
 def _write_nodes(directory, spec, cols, nodes):
@@ -132,11 +133,13 @@ def cmd_encode(args):
     nstripes = (len(symbols) + cap - 1) // cap
     symbols += zero_column(q, nstripes * cap - len(symbols))
 
-    # stripe t of node j is symbols [t*cap + j*p, t*cap + (j+1)*p)
+    # stripe t of node j is symbols [t*cap + j*p, t*cap + (j+1)*p), so row x
+    # of node j, its extent [x*nstripes, (x+1)*nstripes), is every cap-th
+    # symbol from j*p + x
     per_node = [zero_column(q, nstripes * p) for _ in range(k)]
     for j, col in enumerate(per_node):
         for x in range(p):
-            col[x::p] = symbols[j * p + x::cap]
+            col[x * nstripes:(x + 1) * nstripes] = symbols[j * p + x::cap]
     per_node += spec.plan.encode(per_node, nstripes)
 
     os.makedirs(args.out, exist_ok=True)
@@ -150,12 +153,12 @@ def cmd_encode(args):
 
 def _decode_payload(spec, mf, columns):
     """Recover the original byte payload from intact systematic columns."""
-    q, p, k = spec.field.q, spec.p, spec.k
+    q, p, k, t = spec.field.q, spec.p, spec.k, mf.stripe_count
     cap = p * k
-    out = zero_column(q, mf.stripe_count * cap)
+    out = zero_column(q, t * cap)
     for j in range(k):
         for x in range(p):
-            out[j * p + x::cap] = columns[j][x::p]
+            out[j * p + x::cap] = columns[j][x * t:(x + 1) * t]
     return files.symbols_to_bytes(out, q, mf.payload_length)
 
 
@@ -164,35 +167,52 @@ def cmd_rebuild(args):
     n, _, field = shape
     if args.node is not None and not 0 <= args.node < n:
         raise CliError("missing node index out of range")
-    present, _ = _read_nodes(args.dir, shape, mf)
+    # The files are first only sized: the lost node is the one absent or
+    # mis-sized file, and its rebuild reads only its access rows of the
+    # others.  With every file present they are read whole, so that a node
+    # holding a symbol outside the field is found.
+    present, _, _ = _read_nodes(args.dir, shape, mf, dict.fromkeys(range(n), ()))
+    whole = len(present) == n
+    if whole:
+        present, _, nread = _read_nodes(args.dir, shape, mf)
     missing = [i for i in range(n) if i not in present]
-    if len(missing) != 1:
-        raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
-                       f"(use decode for multi-node loss)")
-    if args.node is not None and args.node != missing[0]:
-        raise CliError(f"node {args.node} file is present; node {missing[0]} is the missing one")
+    _one_missing(missing, args.node)
     lost = missing[0]
 
     spec = _spec(mf, field)
+    plan = spec.plan.rebuild_plan(lost)
+    if not whole:
+        present, _, nread = _read_nodes(args.dir, shape, mf, plan.access)
+        _one_missing([lost] + [i for i in plan.access if i not in present], args.node)
     cols = [present.get(i) for i in range(spec.n)]
     spec.plan.decode(cols, mf.stripe_count, [lost])
     _write_nodes(args.dir, spec, cols, [lost])
 
     print(f"rebuilt node_{lost:02d} ({mf.stripe_count} stripes)")
     if mf.stripe_count:
-        plan = spec.plan.rebuild_plan(lost)
         for node in sorted(plan.access):
             print(f"  read node_{node:02d}: {plan.cells_in(node)} cells/stripe")
         print(f"ratio {_fraction_str(plan.ratio(spec))}")
     else:
         print("ratio 0 (empty payload)")
+    survivors = (n - 1) * mf.stripe_count * spec.p * files.symbol_width(field.q)
+    print(f"read {nread} of {survivors} survivor bytes")
     return 0
+
+
+def _one_missing(missing, node):
+    """Check that rebuild has exactly one node to restore, the one named."""
+    if len(missing) != 1:
+        raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
+                       f"(use decode for multi-node loss)")
+    if node is not None and node != missing[0]:
+        raise CliError(f"node {node} file is present; node {missing[0]} is the missing one")
 
 
 def cmd_decode(args):
     mf, shape = _load_dir(args.dir)
     n, _, field = shape
-    present, _ = _read_nodes(args.dir, shape, mf)
+    present, _, _ = _read_nodes(args.dir, shape, mf)
     absent = [i for i in range(n) if i not in present]
     named = set()
     if args.missing:
@@ -235,7 +255,7 @@ def cmd_decode(args):
 def cmd_scrub(args):
     mf, shape = _load_dir(args.dir)
     n, _, field = shape
-    present, invalid = _read_nodes(args.dir, shape, mf)
+    present, invalid, _ = _read_nodes(args.dir, shape, mf)
     missing = [i for i in range(n) if i not in present and i not in invalid]
     if missing:
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "

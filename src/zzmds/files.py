@@ -5,14 +5,16 @@ one raw symbol-stream file per node (node_00, node_01, ...).  Symbols are
 field elements, one per byte for q <= 256, little-endian pairs above that.
 A node file's bytes are the node column the plan's kernel runs on
 (`zzmds.plan`): a bytearray for 1-byte symbols, an array('H') for 2-byte
-ones, with stripe t holding symbols [t*p, (t+1)*p).  The column form is
-defined here, by `symbol_width`, and the plan builds its columns with it.
-The manifest alone gives each node file's size, so the files are checked
-before the code is built.
+ones.  With T = stripe_count the column is row-major: row x of every stripe
+is the one contiguous extent col[x*T:(x+1)*T], so a reader that needs some
+rows reads only their extents.  The column form is defined here, by
+`symbol_width`, and the plan builds its columns with it.  The manifest alone
+gives each node file's size, so the files are checked before the code is
+built.
 
-Manifest layout: magic "ZZMDS1", version u8, m/r/s u8 each, field token and
-scheme token (u8 length + ascii), vector list (u16 LE length + ascii),
-payload byte length u64 LE, stripe count u32 LE.
+Manifest layout: magic "ZZMDS1", version u8 (2: row-major node files), m/r/s
+u8 each, field token and scheme token (u8 length + ascii), vector list (u16 LE
+length + ascii), payload byte length u64 LE, stripe count u32 LE.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .gf import field_from_token
 from .perms import format_vector_list
 
 MAGIC = b"ZZMDS1"
-VERSION = 1
+VERSION = 2
 
 
 class FormatError(ValueError):
@@ -166,10 +168,10 @@ def _file_bytes(col) -> bytes:
     return bytes(col)
 
 
-def _file_column(blob: bytes, q: int):
-    """A node file's bytes as a node column."""
+def _file_symbols(blob: bytes, q: int):
+    """A node file's bytes as symbols a node column slice takes."""
     if symbol_width(q) == 1:
-        return bytearray(blob)
+        return blob
     col = array("H", blob)
     if sys.byteorder == "big":
         col.byteswap()
@@ -221,33 +223,57 @@ def write_node_file(path: str, symbols, q: int) -> None:
         fh.write(_file_bytes(as_column(q, symbols)))
 
 
-def read_columns(directory: str, shape: tuple, stripe_count: int):
-    """Node files the kernels can use: ({node: node column}, {node: problem
-    text}), for the (n, p, field) of `node_shape`.
+def _runs(rows):
+    """The runs [start, stop) of consecutive rows in the sorted `rows`."""
+    runs = []
+    for x in rows:
+        if runs and runs[-1][1] == x:
+            runs[-1][1] = x + 1
+        else:
+            runs.append([x, x + 1])
+    return runs
 
-    A file with a partial symbol, other than stripe_count * p symbols, or a
-    symbol outside the field has a problem instead: the kernels index columns
-    by stripe offset and tables by symbol, and check neither.
+
+def read_columns(directory: str, shape: tuple, stripe_count: int, rows=None):
+    """Node files the kernels can use: ({node: node column}, {node: problem
+    text}, bytes read), for the (n, p, field) of `node_shape`.
+
+    `rows` ({node: sorted rows}) names the nodes to read and, of each, the
+    rows: one os.pread per run of consecutive rows, into a column whose other
+    rows are zero.  No rows only sizes the file.  Without `rows` every node
+    file is read whole.  A file with a partial symbol, other than
+    stripe_count * p symbols, or a symbol outside the field in the bytes read
+    has a problem instead: the kernels index columns by row offset and tables
+    by symbol, and check neither.
     """
     n, p, field = shape
-    q = field.q
-    width, want = symbol_width(q), stripe_count * p
-    columns, problems = {}, {}
-    for i in range(n):
-        path = os.path.join(directory, node_filename(i))
-        if not os.path.exists(path):
+    q, t = field.q, stripe_count
+    width = symbol_width(q)
+    valid = bytes(range(q)) if width == 1 else None
+    columns, problems, nread = {}, {}, 0
+    for i in range(n) if rows is None else sorted(rows):
+        try:
+            fh = open(os.path.join(directory, node_filename(i)), "rb", buffering=0)
+        except FileNotFoundError:
             continue
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) % width:
-            problems[i] = "a partial symbol"
-            continue
-        if len(blob) != want * width:
-            problems[i] = f"{len(blob) // width} symbols, not {want}"
-            continue
-        col = _file_column(blob, q)
-        if col.translate(None, bytes(range(q))) if width == 1 else max(col, default=0) >= q:
-            problems[i] = f"a symbol outside {field.token}"
-        else:
-            columns[i] = col
-    return columns, problems
+        with fh:
+            fd = fh.fileno()
+            size = os.fstat(fd).st_size
+            if size % width:
+                problems[i] = "a partial symbol"
+                continue
+            if size != t * p * width:
+                problems[i] = f"{size // width} symbols, not {t * p}"
+                continue
+            col = zero_column(q, t * p)
+            for start, stop in _runs(range(p) if rows is None else rows[i]):
+                blob = os.pread(fd, (stop - start) * t * width, start * t * width)
+                nread += len(blob)
+                part = _file_symbols(blob, q)
+                if part.translate(None, valid) if width == 1 else max(part, default=0) >= q:
+                    problems[i] = f"a symbol outside {field.token}"
+                    break
+                col[start * t:stop * t] = part
+            else:
+                columns[i] = col
+    return columns, problems, nread

@@ -6,15 +6,15 @@ never from the data, so it is built once per spec (`CodeSpec.plan`, on first
 use) instead of once per stripe or cell.
 
 A node column is laid out as its node file (`zzmds.files`, which defines
-the column form): stripe t holds symbols [t*p, (t+1)*p), so row x of every
-stripe is the row vector col[x::p].  A gather list computes one output
-column: entry x lists the (node, row, coefficient) terms of output row x,
-the field sum of coefficient * column[node][row].  A term is the same in
-every stripe, so the kernel applies it once to the row vector of all
-stripes.  Encode, syndrome, rebuild (the decode of one node) and decode are
-all gather lists; they differ only in the cells they read and the
-coefficients they read them with.  `repair` is decode plus the check of the
-parity left over.
+the column form): over T stripes, row x of every stripe is the row vector
+col[x*T:(x+1)*T], and stripe t is the strided col[t::T].  A gather list
+computes one output column: entry x lists the (node, row, coefficient)
+terms of output row x, the field sum of coefficient * column[node][row].  A
+term is the same in every stripe, so the kernel applies it once to the row
+vector of all stripes.  Encode, syndrome, rebuild (the decode of one node)
+and decode are all gather lists; they differ only in the cells they read and
+the coefficients they read them with.  `repair` is decode plus the check of
+the parity left over.
 
 An erasure pattern's surviving parity equations are solved by the one
 Gauss-Jordan elimination here, on the same tables: its pivot rows are the
@@ -175,13 +175,13 @@ class CodePlan:
         columns `cols`; returns the output columns.  Each term is applied
         once, to its row vector of all stripes.  Only the cells the terms
         name are read, so lost nodes may be None in `cols`."""
-        p, q, lift, total = self.p, self.field.q, self._lift, self._total
+        t, lift, total = nstripes, self._lift, self._total
         outs = []
         for gather in gathers:
-            out = zero_column(q, nstripes * p)
+            out = zero_column(self.field.q, t * self.p)
             for x, terms in enumerate(gather):
-                out[x::p] = total([lift(cols[node][row::p], c) for node, row, c in terms],
-                                  nstripes)
+                out[x * t:(x + 1) * t] = total(
+                    [lift(cols[node][row * t:(row + 1) * t], c) for node, row, c in terms], t)
             outs.append(out)
         return outs
 
@@ -229,7 +229,7 @@ class CodePlan:
         corrected, gathered into columns of their own.  Returns
         ({stripe: corrected node}, the first uncorrectable stripe or None)."""
         erased = tuple(erased)
-        p, e = self.p, len(erased)
+        e = len(erased)
         self.decode(cols, nstripes, erased)
         fixed = {}
         if e >= self.r:
@@ -239,33 +239,32 @@ class CodePlan:
         for j in candidates:
             if not bad:
                 break
-            nodes = erased + (j,)
-            trial = [None if node in nodes else self._stripes(col, bad)
+            nodes, count = erased + (j,), len(bad)
+            trial = [None if node in nodes else self._stripes(col, bad, nstripes)
                      for node, col in enumerate(cols)]
-            self.decode(trial, len(bad), nodes)
-            still = set(self._inconsistent(trial, len(bad)))
+            self.decode(trial, count, nodes)
+            still = set(self._inconsistent(trial, count))
             for i, t in enumerate(bad):
                 if i not in still:
                     for node in nodes:
-                        cols[node][t * p:(t + 1) * p] = trial[node][i * p:(i + 1) * p]
+                        cols[node][t::nstripes] = trial[node][i::count]
                     fixed[t] = j
             bad = [t for i, t in enumerate(bad) if i in still]
         return fixed, (bad[0] if bad else None)
 
     def _inconsistent(self, cols, nstripes: int) -> list:
         """The stripes of `cols` with a nonzero syndrome, in order."""
-        p = self.p
         syndromes = self.syndrome(cols, nstripes)
-        zero = zero_column(self.field.q, p)
+        zero = zero_column(self.field.q, self.p)
         return [t for t in range(nstripes)
-                if any(s[t * p:(t + 1) * p] != zero for s in syndromes)]
+                if any(s[t::nstripes] != zero for s in syndromes)]
 
-    def _stripes(self, col, stripes):
-        """The column of the given stripes of `col`."""
-        p = self.p
-        out = zero_column(self.field.q, len(stripes) * p)
+    def _stripes(self, col, stripes, nstripes: int):
+        """The column of the given stripes of `col`, a column of nstripes."""
+        count = len(stripes)
+        out = zero_column(self.field.q, count * self.p)
         for i, t in enumerate(stripes):
-            out[i * p:(i + 1) * p] = col[t * p:(t + 1) * p]
+            out[i::count] = col[t::nstripes]
         return out
 
     # -- construction ---------------------------------------------------------

@@ -114,19 +114,19 @@ def parity_by_definition(spec, info, sidx):
 
 def run_by_cells(spec, gathers, cols, nstripes):
     """`CodePlan.run` one stripe and one cell at a time, over the structural
-    field: output row x of stripe t is the sum of c * cols[node][t*p + row]
-    over the (node, row, c) terms of gather entry x.  Columns are symbol
-    lists."""
+    field: output row x of stripe t is the sum of c * cols[node][row*T + t]
+    over the (node, row, c) terms of gather entry x, with T = nstripes.
+    Columns are row-major symbol lists."""
     p, f = spec.p, spec.field
     outs = []
     for gather in gathers:
         out = [0] * (nstripes * p)
-        for base in range(0, nstripes * p, p):
+        for t in range(nstripes):
             for x, terms in enumerate(gather):
                 acc = 0
                 for node, row, c in terms:
-                    acc = f.add(acc, f.mul(c, cols[node][base + row]))
-                out[base + x] = acc
+                    acc = f.add(acc, f.mul(c, cols[node][row * nstripes + t]))
+                out[x * nstripes + t] = acc
         outs.append(out)
     return outs
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from zzmds import cli, files
 from zzmds.files import node_filename, read_manifest
 from zzmds.perms import format_vector_list, standard_basis_family
@@ -174,9 +175,9 @@ def test_scrub_handles_out_of_range_symbols(workdir, capsys):
 
 def test_scrub_corrects_two_nodes_in_two_stripes(workdir, capsys):
     before = snapshot(workdir)
-    for node, stripe, row in ((0, 3, 1), (4, 100, 2)):   # p = 4 symbols a stripe
+    for node, stripe, row in ((0, 3, 1), (4, 100, 2)):   # T = 512 stripes
         blob = bytearray(before[node])
-        pos = stripe * 4 + row
+        pos = row * 512 + stripe
         blob[pos] = (blob[pos] + 1) % 3
         write(node_path(workdir, node), bytes(blob))
     rc = cli.main(["scrub", str(workdir / "nodes")])
@@ -385,6 +386,104 @@ def test_scrub_invalid_and_corrupted_three_parities(tmp_path, capsys, command, c
         assert payload == read(tmp_path / "p.bin")
 
 
+CONS3_M3 = "family=standard\nm=3\nscheme=cons3\n"
+
+
+def rchar():
+    """(bytes this process has read so far, bytes this probe read)."""
+    with open("/proc/self/io", "rb", buffering=0) as fh:
+        blob = fh.read()
+    fields = dict(line.split(b":") for line in blob.splitlines() if b":" in line)
+    return int(fields[b"rchar"]), len(blob)
+
+
+@pytest.mark.parametrize("config, lost", [
+    (CONS3_M3, 1),
+    ("family=standard\nm=3\nr=3\nscheme=r3\nfield=gf(11)\n", 2),
+    ("family=weightw\nm=6\nw=3\nscheme=weightw\n", 5),
+    (CONS3_M3, 4),
+], ids=["cons3", "r3", "weightw", "cons3-parity"])
+def test_rebuild_reads_only_its_access_rows(tmp_path, capsys, monkeypatch, config, lost):
+    out, before = encode_config(tmp_path, config)
+    spec = cli.parse_config(str(tmp_path / "code.cfg"))
+    count = read_manifest(str(out / "manifest")).stripe_count
+    access = spec.plan.rebuild_plan(lost).access
+    expected = sum(len(rows) for rows in access.values()) * count   # one byte a symbol
+    survivors = (spec.n - 1) * spec.p * count
+    preads, real_pread = [], os.pread
+
+    def pread(fd, length, offset):
+        blob = real_pread(fd, length, offset)
+        preads.append(len(blob))
+        return blob
+
+    monkeypatch.setattr(os, "pread", pread)
+    path = out / node_filename(lost)
+    os.remove(path)
+    capsys.readouterr()
+    assert cli.main(["rebuild", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert f"read {expected} of {survivors} survivor bytes" in text
+    assert sum(preads) == expected
+    assert read(path) == before[node_filename(lost)]
+    if os.path.exists("/proc/self/io"):
+        # warmed up above: the command reads the manifest and its rows, no more
+        os.remove(path)
+        start, probe = rchar()
+        assert cli.main(["rebuild", str(out)]) == 0
+        delta = rchar()[0] - start - probe
+        assert delta <= expected + os.path.getsize(out / "manifest")
+        assert read(path) == before[node_filename(lost)]
+
+
+@pytest.mark.parametrize("read_row", [True, False], ids=["read-row", "unread-row"])
+def test_rebuild_out_of_field_symbol_in_survivor(tmp_path, capsys, read_row):
+    # rebuild checks the rows it reads, and neither reads nor checks the others
+    out, before = encode_config(tmp_path, CONS3_M3)
+    spec = cli.parse_config(str(tmp_path / "code.cfg"))
+    count = read_manifest(str(out / "manifest")).stripe_count
+    rows = spec.plan.rebuild_plan(1).access[0]
+    row = rows[0] if read_row else min(set(range(spec.p)) - set(rows))
+    blob = bytearray(before["node_00"])
+    blob[row * count + 7] = 0xFF
+    write(out / "node_00", bytes(blob))
+    os.remove(out / "node_01")
+    capsys.readouterr()
+    rc = cli.main(["rebuild", str(out)])
+    err = capsys.readouterr().err
+    if read_row:
+        assert rc == 3
+        assert "node_00 holds a symbol outside gf(3)" in err and "2 nodes missing" in err
+        assert not (out / "node_01").exists()
+    else:
+        assert rc == 0 and err == ""
+        assert read(out / "node_01") == before["node_01"]
+    assert read(out / "node_00") == bytes(blob)
+
+
+@pytest.mark.parametrize("second", ["absent", "truncated"])
+def test_rebuild_two_lost_nodes_reads_no_node_bytes(tmp_path, capsys, monkeypatch, second):
+    out, before = encode_config(tmp_path, CONS3_M3)
+    os.remove(out / "node_01")
+    if second == "absent":
+        os.remove(out / "node_03")
+    else:
+        write(out / "node_03", before["node_03"][:-5])
+    damaged = {name: read(out / name) for name in os.listdir(out)}
+
+    def pread(fd, length, offset):
+        raise AssertionError("a node byte was read")
+
+    monkeypatch.setattr(os, "pread", pread)
+    capsys.readouterr()
+    assert cli.main(["rebuild", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert ("error: 2 nodes missing; rebuild handles exactly one "
+            "(use decode for multi-node loss)") in err
+    assert ("node_03 holds" in err) == (second == "truncated")
+    assert {name: read(out / name) for name in os.listdir(out)} == damaged
+
+
 def test_decode_all_parity_spent_leaves_directory_on_bad_stream(tmp_path, capsys):
     # With e = r nodes lost no parity is left to check a corrupted survivor.
     # Here the decoded stream then fails to unpack (exit 3): no node file may
@@ -402,40 +501,42 @@ def test_decode_all_parity_spent_leaves_directory_on_bad_stream(tmp_path, capsys
     assert {name: read(out / name) for name in os.listdir(out)} == damaged
 
 
-# SHA-256 of the files `encode` writes for a seeded 3000-byte payload.  A
-# change to these is a change of the on-disk format.
+# SHA-256 of the files `encode` writes for a seeded 3000-byte payload, in
+# format version 2 (row-major node files); `test_encode_matches_definition`
+# derives the node files apart.  A change to these is a change of the on-disk
+# format.
 GOLDEN_ENCODE = {
     "family=standard\nm=3\nscheme=cons3\n": {
-        "manifest": "10739a22630b3b7ca978babcb7ac2425c3043aceda3fa679cb51b6f74dae3682",
-        "node_00": "a85024b33395238da63da364ab742addc2ebbd63b6b64873121a1e557c50886c",
-        "node_01": "42f58bef25c31711ec1f22f32d1d8a738574f6cbce05ff347af8f7808878bcb2",
-        "node_02": "d1e634d363a6ce8fdf4c60ed9e14b1f1338ebe4d1f069f8efae8e2f8e35eda08",
-        "node_03": "881f1561b6fedd194f70c45bdb394943c14d57ab59c494616689ca2c88b763f7",
-        "node_04": "4d8bcd579ac69456cb34aa27acda18ef493d2dd53bc0963f694ecb492c3b7dad",
-        "node_05": "19fb05dd74337f6f965d307e8c0fd7a5131064e1e371a5d1fb88894f70f767e0",
+        "manifest": "74763d8c965c1e7e62cd4bb60881afea0aa6e0a553af85dddefab92e392f2944",
+        "node_00": "bb8eb51b640a7dac99239a3bd702ef0cc2d407285f51cbef6f7e56e5d0317cca",
+        "node_01": "9612b7b53e245c2723a8a2ee97ca7b04e1ae3b9ca85bc7fbeab1cf560c5f2fa2",
+        "node_02": "dcb0f5745d167df7931e162ba5f7c2d13950fb0cf566867bcc3c7bc9fabaf66b",
+        "node_03": "4ed3aff0042bbad48f518c8d07a20f35b0b65d15b6323ad2ae49144307075e49",
+        "node_04": "58331564bd2d8ab9065181dd42242ca8e7257722257db6618d16ce2aff26d81b",
+        "node_05": "d6a944c48a588c66209ac17d41a5aea27dd9f3e78472749c10444afd15934dd9",
     },
     "family=standard\nm=3\nr=3\nscheme=r3\n": {
-        "manifest": "b591aad70b1ad085f17e7e4098d8a6fa2d45b331375f76b42cc5e9668fa23410",
-        "node_00": "cf01fe7c02fac02a40f9706a0b5c81a4e92f2807c9aec1c49042d666f16d2b23",
-        "node_01": "24e0e06b6f77580c22013cc6e0bb8fa704233ae68aa7afa54a1dee6b3109f50a",
-        "node_02": "f047da7c08ad8902dcfecfcc77b4e76931fcf1dc57d0dca91f730fe594b4cb09",
-        "node_03": "81ca7c89c08145c3cc8b62f6891271aef73b02f2962cb6e8d20b1c833e40870f",
-        "node_04": "d55972d938dbc4cacd9707af61774832d021a80f80194aa09dcf2b79c025c585",
-        "node_05": "62cc67f823096e838f39a5a26db8db86b4bd5f80a65da875103930089cd47d85",
-        "node_06": "8de4969159ba1b00533ae99e79582331014ccfa40bd3561bef11012f1ac537b6",
+        "manifest": "3e9768c01b88425733af4b3537fd8d11ddceec759a4ed6d839c0a86c8b7d90f6",
+        "node_00": "1be63ddcfcea6d7b14e670fe9b63c120e3b89cdd914a65ea4cfa8a819037e3b5",
+        "node_01": "7da2e22216670d2002853e24ed1f8fc131027a290d60f554093800b1bf5ae936",
+        "node_02": "86a56ad3237994ad7e16f02eb6d34c8ae6c8bfbfcbfba6502d780c3270fda4df",
+        "node_03": "46274462e69790e413e8f0d6077d770db2558999aba3a6d7bfde8a77e23096c9",
+        "node_04": "7509ec200268ff174138784144698554ec8448edb3ffcfbce67f080c0beaec9c",
+        "node_05": "0f1722a78e09255a75ac09bc71d942ed5fe2cfdca07a061665ee1eb3a1a7a711",
+        "node_06": "a0e6d88ecb9c9316cbbbe89d31637d174f1ba6a1733cf46742b1c4657fcbfb1b",
     },
     "family=weightw\nm=6\nw=3\nscheme=weightw\n": {
-        "manifest": "02c20cf0a628f83f80a580cc64156aba285b6ee2f2a9f4a07e26a4f6e130fb6b",
-        "node_00": "1881d73387558298adad651eb1b7fe6da19df5ce313f9ad79e0e365733ae5a96",
-        "node_01": "80d82803795678119eeff3c3bc9c7df6018d0167d5df01ff1306d430cc40ea2e",
-        "node_02": "752f024f4fc9da8551e32d5046f06780ed44f63b33824d2bd9cb625fa64bef13",
-        "node_03": "a703c2544249424d9a9c6471489b295134809ae940b2b3fd506ceee716f1e8cd",
-        "node_04": "980ec8b808d0fb51f8f0c64672540d8107d3eb8074afeea4ff8b40b256136fbd",
-        "node_05": "d9d5303ed82eee2f8826d9d930126567c5eec43d7b02360fc9fe23d3df333d8a",
-        "node_06": "256d990b209560171751726eac5af05eecb73b6c0263f84251cd65e4871c2b00",
-        "node_07": "8c718f8fc5f252c8fc72f89d7a510e09d8e4eb0d84251e033af9e9bd26ce4d9e",
-        "node_08": "bb41bb9ace3f946ece978ef976316f314dce6b2638cc55b980cea64bfa395ded",
-        "node_09": "1ffe3c258b3b654ee530ffbafc9a917c618e3bdf998b963f6d2d88b62b544b81",
+        "manifest": "a87ee153c91fa39bf80fb02880ddd81e82479e75d03a5febab87a8661102d955",
+        "node_00": "0779ab0fb673c0bc94b294bacf95ff19d9016d4737660f08205ac1e75ec50313",
+        "node_01": "8d4ad53605ca3926d5ad7fba7ef01d66effd848c0e029b36d090d9f2cc4c56b7",
+        "node_02": "919d42a12c306d1759ec7e1ddaf8a3f8279d4c1b0f53b5ea82b26d5c2da6e045",
+        "node_03": "8e2295d66a0bb0d747b8d6fc9afef752ade3cc1ab9c16ad19c588fc1be1b14ef",
+        "node_04": "1c8d0027c9d0fa28a6237a4148bfeb28cb1631091982c266f089164c740aedc6",
+        "node_05": "df9cdcaf8ada03c2f2323c7629ac140bbd87d003ace2e9c029767bfe370cff8e",
+        "node_06": "37017d03c86399dda64d6171295103e6e506c853599bd50715931c5abdd14fec",
+        "node_07": "be4cdee3536f5acc9d3fed8127156e53c46c510ee9fbbd9ba01d87536496922f",
+        "node_08": "91fb6b95600da7dd72984428e6747d8ae3381697f1250a07d4406e2183a2185f",
+        "node_09": "e41ed357ea4a906a15be725c08f4b06c32a63e668ad7a88be7801b1f86a89fbc",
     },
 }
 
@@ -450,6 +551,47 @@ def test_encode_golden_format(tmp_path, capsys, config):
     assert cli.main(["encode", str(payload), "--config", str(cfg), "--out", str(out)]) == 0
     got = {name: hashlib.sha256(read(out / name)).hexdigest() for name in os.listdir(out)}
     assert got == GOLDEN_ENCODE[config]
+
+
+def node_files_by_definition(spec, payload):
+    """The node files `encode` should write for `payload`, built without
+    `zzmds.files`: each byte as its d base-q digits by divmod, most
+    significant first; stripe t holding digits [t*k*p, (t+1)*k*p), column j
+    the p of them from j*p; parities by `oracles.parity_by_definition`; each
+    node file row-major (row x of stripe t is symbol x*T + t), one byte a
+    symbol."""
+    q, p, k = spec.field.q, spec.p, spec.k
+    d = 1
+    while q ** d < 256:
+        d += 1
+    digits = []
+    for byte in payload:
+        group = []
+        for _ in range(d):
+            byte, digit = divmod(byte, q)
+            group.append(digit)
+        digits += reversed(group)
+    cap = p * k
+    count = -(-len(digits) // cap)
+    digits += [0] * (count * cap - len(digits))
+    nodes = [[0] * (p * count) for _ in range(spec.n)]
+    for t in range(count):
+        info = [[digits[t * cap + j * p + x] for j in range(k)] for x in range(p)]
+        stripe = [[info[x][j] for x in range(p)] for j in range(k)]
+        stripe += [oracles.parity_by_definition(spec, info, sidx) for sidx in range(spec.r)]
+        for j, column in enumerate(stripe):
+            for x, v in enumerate(column):
+                nodes[j][x * count + t] = v
+    return {f"node_{j:02d}": bytes(col) for j, col in enumerate(nodes)}
+
+
+@pytest.mark.parametrize("config", list(GOLDEN_ENCODE), ids=["cons3", "r3", "weightw"])
+def test_encode_matches_definition(tmp_path, capsys, config):
+    # the golden payload's node files, derived apart from the packer and writer
+    out, written = encode_config(tmp_path, config, seed=3000)
+    spec = cli.parse_config(str(tmp_path / "code.cfg"))
+    payload = read(tmp_path / "p.bin")
+    assert written == node_files_by_definition(spec, payload)
 
 
 def test_empty_payload(tmp_path, capsys):
@@ -582,6 +724,25 @@ def test_manifest_validation(workdir, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rebuild", "decode", "scrub"])
+def test_manifest_version_1_is_refused(workdir, capsys, command):
+    # version 1 node files are stripe-major; no command may read them as rows
+    nodes = workdir / "nodes"
+    os.remove(node_path(workdir, 1))
+    blob = bytearray(read(nodes / "manifest"))
+    blob[6] = 1
+    write(nodes / "manifest", bytes(blob))
+    before = {name: read(nodes / name) for name in os.listdir(nodes)}
+    back = workdir / "back.bin"
+    capsys.readouterr()
+    argv = [command, str(nodes)] + (["--out", str(back)] if command == "decode" else [])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "unsupported manifest version 1" in err and "Traceback" not in err
+    assert {name: read(nodes / name) for name in os.listdir(nodes)} == before
+    assert not back.exists()
+
+
 def rewrite_manifest(directory, **fields):
     """Overwrite the directory's manifest with some of its fields replaced."""
     mf = read_manifest(str(directory / "manifest"))
@@ -675,7 +836,7 @@ def test_scrub_corrects_many_stripes_at_once(tmp_path, capsys):
 
     # a different node in each of six stripes
     for node, t in enumerate((3, 40, 41, 100, 200, stripes - 1)):
-        bump(node, [t * p + node])
+        bump(node, [node * stripes + t])
     capsys.readouterr()
     assert cli.main(["scrub", str(out)]) == 0
     text = capsys.readouterr().out
@@ -683,7 +844,7 @@ def test_scrub_corrects_many_stripes_at_once(tmp_path, capsys):
     assert {name: read(out / name) for name in before} == before
 
     # node_01 in every stripe
-    bump(1, [t * p + t % p for t in range(stripes)])
+    bump(1, [t % p * stripes + t for t in range(stripes)])
     assert cli.main(["scrub", str(out)]) == 0
     assert capsys.readouterr().out.split("\n")[0] == "corrected node_01"
     assert {name: read(out / name) for name in before} == before

@@ -413,7 +413,8 @@ def test_property_plan_runs_stripes_at_once(name, data):
     stripes = [drawn_stripe(data, spec) for _ in range(count)]
 
     def joined(stripes):
-        return [as_column(f.q, [a for stripe in stripes for a in stripe[node]])
+        # row-major, as node files are: row x of stripe t is cell x * count + t
+        return [as_column(f.q, [stripe[node][x] for x in range(p) for stripe in stripes])
                 for node in range(spec.n)]
 
     cols = joined(stripes)

@@ -33,19 +33,6 @@ def _pair_union_size(family, vi: int, ui: int) -> int:
     return r ** family.m // gcd(r, pair_constant(v, u))
 
 
-def ratio_formula_terms(spec: CodeSpec):
-    """Pairwise extra-access terms: rows read in column u beyond the r^(m-1)
-    minimum when rebuilding column v.  Aggregating them reproduces
-    predicted_ratio for undisplicated codes."""
-    if spec.s != 1:
-        raise ValueError("formula terms are defined for s=1 codes")
-    fam = spec.family
-    base = fam.p // fam.r
-    size = fam.size
-    return [[0 if ui == vi else _pair_union_size(fam, vi, ui) - base
-             for ui in range(size)] for vi in range(size)]
-
-
 def _base_predicted(spec: CodeSpec) -> Fraction:
     fam = spec.family
     K = fam.size
@@ -77,18 +64,6 @@ def predicted_is_bound(spec: CodeSpec) -> bool:
     return spec.s > 1
 
 
-def asymptotic_ratio(family_kind: str, m: int, w: int = None, r: int = 2) -> Fraction:
-    """Reference large-m approximations: 1/r for the standard family,
-    1/2 + w^2/(2m) for block-weight families."""
-    if family_kind == "standard":
-        return Fraction(1, r)
-    if family_kind == "weightw":
-        if w is None:
-            raise ValueError("weightw asymptotic needs w")
-        return Fraction(1, 2) + Fraction(w * w, 2 * m)
-    raise ValueError(f"no asymptotic form for family {family_kind!r}")
-
-
 def measure_rebuild(spec: CodeSpec):
     """The rebuild accounting of every systematic target, read from the
     compiled plan (access patterns are data-independent).
@@ -99,10 +74,6 @@ def measure_rebuild(spec: CodeSpec):
     total = sum(plan.cells_read for plan in plans)
     average = Fraction(total, spec.k * spec.p * (spec.n - 1))
     return plans, average
-
-
-def measured_ratio(spec: CodeSpec) -> Fraction:
-    return measure_rebuild(spec)[1]
 
 
 # Rebuild accounting touches every systematic target; skip it by default on

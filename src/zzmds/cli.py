@@ -130,7 +130,7 @@ def cmd_encode(args):
     q, p, k = spec.field.q, spec.p, spec.k
     symbols = files.bytes_to_symbols(data, q)
     cap = p * k
-    nstripes = (len(symbols) + cap - 1) // cap
+    nstripes = files.stripes_for(len(data), q, cap)
     symbols += zero_column(q, nstripes * cap - len(symbols))
 
     # stripe t of node j is symbols [t*cap + j*p, t*cap + (j+1)*p), so row x

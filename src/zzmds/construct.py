@@ -85,10 +85,6 @@ class CodeSpec:
     def family_index(self, col: int) -> int:
         return col // self.s
 
-    def source_row(self, zidx: int, col: int, sidx: int) -> int:
-        """The row of col feeding parity-sidx set zidx."""
-        return self.family.unapply(self.family_index(col), sidx, zidx)
-
     def coefficient(self, row: int, col: int, sidx: int) -> int:
         if sidx == 0:
             return 1

@@ -114,7 +114,7 @@ def node_shape(mf: Manifest) -> tuple:
     field = field_from_token(mf.field_token)
     vectors = len(mf.vectors.split(","))
     p = mf.r ** mf.m
-    if mf.stripe_count != -(-mf.payload_length * digits_per_byte(field.q) // (p * vectors * mf.s)):
+    if mf.stripe_count != stripes_for(mf.payload_length, field.q, p * vectors * mf.s):
         raise FormatError(f"stripe count {mf.stripe_count} does not fit "
                           f"{mf.payload_length} payload bytes")
     return vectors * mf.s + mf.r, p, field
@@ -139,6 +139,12 @@ def digits_per_byte(q: int) -> int:
         d += 1
         span *= q
     return d
+
+
+def stripes_for(payload_length: int, q: int, cap: int) -> int:
+    """The stripes of cap = p * k symbols that hold a payload of that many
+    bytes, packed by `bytes_to_symbols`."""
+    return -(-payload_length * digits_per_byte(q) // cap)
 
 
 def symbol_width(q: int) -> int:

@@ -210,9 +210,6 @@ class Field:
             raise FieldError("negative power of zero")
         return self.exp[self.log[a] * e % (self.q - 1)]
 
-    def elements(self):
-        return range(self.q)
-
     @property
     def token(self) -> str:
         if self.degree == 1:
@@ -242,10 +239,11 @@ def field_create(kind: str, parameter: int) -> Field:
     degenerates to GF(2).
     """
     if kind == "prime":
-        if not is_prime(parameter):
-            raise FieldError(f"{parameter} is not prime")
+        # the bound first: trial division of a huge parameter would not end
         if parameter > MAX_PRIME:
             raise FieldError(f"prime {parameter} exceeds the supported maximum {MAX_PRIME}")
+        if not is_prime(parameter):
+            raise FieldError(f"{parameter} is not prime")
         return Field(parameter)
     if kind == "binary-extension":
         if not 1 <= parameter <= MAX_BINARY_DEGREE:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
 
 def to_digits(x: int, r: int, m: int):
@@ -99,14 +98,6 @@ def perm_apply(v: RVector, i: int, x: int) -> int:
     return from_digits(((a + i * b) % v.r for a, b in zip(xd, v.digits)), v.r)
 
 
-def perm_unapply(v: RVector, i: int, x: int) -> int:
-    """Inverse of perm_apply: shift by -i*v."""
-    if not 0 <= i < v.r:
-        raise ValueError(f"parity index {i} out of range for r={v.r}")
-    xd = to_digits(x, v.r, v.m)
-    return from_digits(((a - i * b) % v.r for a, b in zip(xd, v.digits)), v.r)
-
-
 def access_set(v: RVector, s: int, special_zero: bool = False):
     """Rows of a column rebuilt through parity s.
 
@@ -134,26 +125,6 @@ def pair_constant(v: RVector, u: RVector) -> int:
     return (v.dot_vec(diff) - 1) % v.r
 
 
-def intersection_size(v: RVector, u: RVector, i: int, j: int) -> int:
-    """Closed-form size of the overlap between two per-parity transfer sets.
-
-    The sets f_u^-i(f_v^i(X_v^i)) and f_u^-j(f_v^j(X_v^j)) are cosets of the
-    same subgroup: identical when (i-j) * (v.(v-u) - 1) = 0 mod r, disjoint
-    otherwise.  Both vectors must be nonzero and admissible; the designated
-    zero vector is handled by explicit set computation instead.
-    """
-    if v.is_zero or u.is_zero:
-        raise ValueError("closed form applies to nonzero vectors only")
-    if not (v.admissible and u.admissible):
-        raise ValueError("vectors must be admissible")
-    r = v.r
-    if not (0 <= i < r and 0 <= j < r):
-        raise ValueError("parity indices out of range")
-    if (i - j) * pair_constant(v, u) % r == 0:
-        return r ** (v.m - 1)
-    return 0
-
-
 def access_union(v: RVector, u: RVector, v_is_zero: bool = False):
     """All rows read in column u across parities when rebuilding column v.
 
@@ -173,28 +144,6 @@ def access_union(v: RVector, u: RVector, v_is_zero: bool = False):
             s = -sum(a * b for a, b in zip(xd, v.digits)) % r
         out.add(from_digits(((a + s * d) % r for a, d in zip(xd, diff)), r))
     return frozenset(out)
-
-
-def rebuild_overlap(v: RVector, u: RVector):
-    """|f_v(X_v) n f_u(X_v)| for r=2: the extra rows column u contributes.
-
-    Zero exactly when the two shifted copies of X_v land on disjoint cosets,
-    i.e. when the supports differ in an odd number of positions.
-    """
-    if v.r != 2 or u.r != 2:
-        raise ValueError("rebuild_overlap is a radix-2 quantity")
-    xv = access_set(v, 0)
-    fv = {perm_apply(v, 1, x) for x in xv}
-    fu = {perm_apply(u, 1, x) for x in xv}
-    return len(fv & fu)
-
-
-class OrthogonalityReport(NamedTuple):
-    ok: bool
-    violations: tuple  # (v_index, u_index, parity) triples
-
-    def __bool__(self):
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -247,9 +196,6 @@ class VectorFamily:
     def apply(self, idx: int, i: int, x: int) -> int:
         return perm_apply(self.vectors[idx], i, x)
 
-    def unapply(self, idx: int, i: int, x: int) -> int:
-        return perm_unapply(self.vectors[idx], i, x)
-
 
 def make_family(vectors) -> VectorFamily:
     """Build a family, designating a single zero vector automatically."""
@@ -290,26 +236,6 @@ def weight_w_family(m: int, w: int) -> VectorFamily:
             break
         counters[b] += 1
     return VectorFamily(tuple(vectors), None)
-
-
-def orthogonality_check(family: VectorFamily) -> OrthogonalityReport:
-    """Explicitly verify f_u^i(X_v^0) == f_v^i(X_v^i) for all ordered pairs.
-
-    This is the set-construction check, deliberately independent of the
-    closed-form intersection_size.
-    """
-    violations = []
-    for vi in range(family.size):
-        base = family.access_set(vi, 0)
-        for ui in range(family.size):
-            if ui == vi:
-                continue
-            for i in range(family.r):
-                left = frozenset(family.apply(ui, i, x) for x in base)
-                right = frozenset(family.apply(vi, i, x) for x in family.access_set(vi, i))
-                if left != right:
-                    violations.append((vi, ui, i))
-    return OrthogonalityReport(not violations, tuple(violations))
 
 
 def parse_vector_list(text: str, r: int):

@@ -16,6 +16,13 @@ and decode are all gather lists; they differ only in the cells they read and
 the coefficients they read them with.  `repair` is decode plus the check of
 the parity left over.
 
+This is the library's interface to every operation, for any number of
+stripes (one stripe is T = 1).  Columns come from `files.zero_column` or
+`files.as_column` and must hold field symbols; lost nodes are None.  The
+plan checks neither the column form nor the symbols (the command line's
+reader, `files.read_columns`, does), and `decode` and `repair` fill in
+`cols` in place.
+
 An erasure pattern's surviving parity equations are solved by the one
 Gauss-Jordan elimination here, on the same tables: its pivot rows are the
 pattern's decode map, and their number is the rank `verify_mds` checks.
@@ -42,11 +49,10 @@ class SingularMatrixError(ValueError):
 
 
 class RebuildPlan(NamedTuple):
-    """What a single-node rebuild reads: per-parity row assignment for the
-    erased column and the exact set of cells touched per surviving node."""
+    """What a single-node rebuild reads: the exact set of cells touched per
+    surviving node."""
 
     erased: int
-    rows_by_parity: list          # for a systematic target; [] for parity targets
     access: dict                  # node index -> sorted tuple of rows read
 
     @property
@@ -272,8 +278,8 @@ class CodePlan:
     @cached_property
     def _zigzags(self) -> list:
         """zigzags[v][s][z]: the row of a column with family vector v that
-        feeds set z of parity s, z - s*v digit by digit (`perm_unapply`),
-        built by one product over the digits."""
+        feeds set z of parity s, z - s*v digit by digit, built by one product
+        over the digits."""
         r = self.r
         out = []
         for vector in self.spec.family.vectors:
@@ -323,13 +329,11 @@ class CodePlan:
         inv(c_x) folded into every coefficient."""
         p, k, mul, neg = self.p, self.k, self.mul, self.neg
         if j >= k:
-            return self.parity[j - k], RebuildPlan(j, [], {c: tuple(range(p)) for c in range(k)})
+            return self.parity[j - k], RebuildPlan(j, {c: tuple(range(p)) for c in range(k)})
         gather = [None] * p
-        rows_by_parity = []
         touched = {}
         for sidx, sets in enumerate(self.parity):
             rows = self.spec.access_rows(j, sidx)
-            rows_by_parity.append(sorted(rows))
             for z, members in enumerate(sets):
                 _, x, cx = members[j]
                 if x not in rows:
@@ -342,7 +346,7 @@ class CodePlan:
                 for node, row, _ in terms:
                     touched.setdefault(node, set()).add(row)
         access = {node: tuple(sorted(rows)) for node, rows in touched.items()}
-        return gather, RebuildPlan(j, rows_by_parity, access)
+        return gather, RebuildPlan(j, access)
 
     def _equations(self, erased):
         """(rows, U): one sparse row ({column: coefficient}) per surviving

@@ -5,7 +5,9 @@ construction, definitional sums, exhaustive search.  None of it calls the
 code paths under test beyond reading plain data (vectors, coefficients).
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 
 def power(field, a, e):
@@ -67,6 +69,47 @@ def explicit_transfer(vd, ud, i, r, m, v_zero=False):
     return frozenset(shift(y, neg_u, i, r, m) for y in moved)
 
 
+def perm_unapply(v, i, x):
+    """Row x moved back by i*v: the inverse of `perms.perm_apply`."""
+    return shift(x, v.digits, -i, v.r, v.m)
+
+
+def intersection_size(v, u, i, j):
+    """The closed form of |f_u^-i(f_v^i(X_v^i)) n f_u^-j(f_v^j(X_v^j))|.
+
+    The two sets are cosets of the same subgroup: identical when
+    (i-j) * (v.(v-u) - 1) = 0 mod r, disjoint otherwise.  Both vectors must
+    be nonzero and admissible.
+    """
+    r = v.r
+    for w in (v, u):
+        if not any(w.digits) or gcd(r, *w.digits) != 1:
+            raise ValueError("closed form applies to nonzero admissible vectors only")
+    pair = (sum(a * (a - b) for a, b in zip(v.digits, u.digits)) - 1) % r
+    return r ** (v.m - 1) if (i - j) * pair % r == 0 else 0
+
+
+def orthogonality_violations(family):
+    """The (v index, u index, parity i) triples with f_u^i(X_v^0) !=
+    f_v^i(X_v^i), by explicit sets over every ordered pair of members; an
+    orthogonal family has none."""
+    r, m = family.r, family.m
+    out = []
+    for vi, v in enumerate(family.vectors):
+        zero = vi == family.zero_index
+        base = explicit_access_set(v.digits, 0, r, m, zero_special=zero)
+        for ui, u in enumerate(family.vectors):
+            if ui == vi:
+                continue
+            for i in range(r):
+                left = {shift(x, u.digits, i, r, m) for x in base}
+                right = {shift(x, v.digits, i, r, m)
+                         for x in explicit_access_set(v.digits, i, r, m, zero_special=zero)}
+                if left != right:
+                    out.append((vi, ui, i))
+    return out
+
+
 def support(vd):
     return {i + 1 for i, d in enumerate(vd) if d}
 
@@ -97,6 +140,39 @@ def zigzag_index(spec, row, col, sidx):
     """Which parity-sidx set the cell (row, col) belongs to: row moved by sidx
     times its column's vector."""
     return shift(row, vector_for(spec, col), sidx, spec.r, spec.m)
+
+
+def source_row(spec, zidx, col, sidx):
+    """The row of column col that feeds parity-sidx set zidx: the inverse of
+    `zigzag_index`."""
+    return shift(zidx, vector_for(spec, col), -sidx, spec.r, spec.m)
+
+
+def ratio_formula_terms(spec):
+    """Rows read in column u beyond the p/r minimum when rebuilding column v,
+    for each ordered pair of family members of an s = 1 code: the union over
+    parities i of f_u^-i(f_v^i(X_v^i)), by explicit sets."""
+    if spec.s != 1:
+        raise ValueError("formula terms are defined for s=1 codes")
+    fam, r, m = spec.family, spec.r, spec.m
+    return [[0 if ui == vi else
+             len(frozenset().union(*(explicit_transfer(v.digits, u.digits, i, r, m,
+                                                       v_zero=vi == fam.zero_index)
+                                     for i in range(r)))) - spec.p // r
+             for ui, u in enumerate(fam.vectors)]
+            for vi, v in enumerate(fam.vectors)]
+
+
+def asymptotic_ratio(family_kind, m, w=None, r=2):
+    """The paper's large-m rebuild ratios: 1/r for the standard family,
+    1/2 + w^2/(2m) for block-weight families."""
+    if family_kind == "standard":
+        return Fraction(1, r)
+    if family_kind == "weightw":
+        if w is None:
+            raise ValueError("weightw asymptotic needs w")
+        return Fraction(1, 2) + Fraction(w * w, 2 * m)
+    raise ValueError(f"no asymptotic form for family {family_kind!r}")
 
 
 def parity_by_definition(spec, info, sidx):

@@ -11,9 +11,9 @@ from itertools import combinations
 
 import oracles
 from zzmds import analysis, gf
-from zzmds.codec import decode_erasures, decode_error, encode, rebuild_one
 from zzmds.construct import build_code, verify_mds
-from zzmds.perms import orthogonality_check, rebuild_overlap, standard_basis_family
+from zzmds.files import as_column
+from zzmds.perms import standard_basis_family
 
 
 @contextmanager
@@ -35,16 +35,26 @@ def random_info(spec, rng):
             for _ in range(spec.k)]
 
 
+def encode(spec, info):
+    """The one-stripe node columns (T = 1) of the stripe whose information
+    columns hold the symbol lists `info`."""
+    cols = [as_column(spec.field.q, col) for col in info]
+    return cols + spec.plan.encode(cols, 1)
+
+
+def decoded(spec, stripe, erased):
+    """The stripe decoded by the plan with the erased columns None."""
+    cols = [None if node in erased else col for node, col in enumerate(stripe)]
+    spec.plan.decode(cols, 1, erased)
+    return cols
+
+
 def test_criterion_1_code53_golden():
     with criterion(1, 1, "golden (5,3) code: zigzag sets and coefficients reproduced exactly"):
         spec = build_code("cons3", m=2)
 
         def members(zidx):
-            out = set()
-            for col in range(spec.k):
-                row = spec.source_row(zidx, col, 1)
-                out.add((row, col, spec.coefficient(row, col, 1)))
-            return out
+            return {(row, col, c) for col, row, c in spec.plan.parity[1][zidx]}
 
         # z_0 = a_00 + 2 a_21 + 2 a_12 ; z_1 = a_10 + 2 a_31 + a_02
         assert members(0) == {(0, 0, 1), (2, 1, 2), (1, 2, 2)}
@@ -62,8 +72,8 @@ def test_criterion_2_optimal_ratio_r2():
             stripe = encode(spec, random_info(spec, rng))
             total = 0
             for col in range(spec.k):
-                values, plan = rebuild_one(spec, stripe, col)
-                assert values == stripe[col]
+                assert decoded(spec, stripe, [col]) == stripe
+                plan = spec.plan.rebuild_plan(col)
                 for node in range(spec.n):
                     if node != col:
                         assert plan.cells_in(node) == 2 ** (m - 1)
@@ -79,8 +89,8 @@ def test_criterion_3_optimal_ratio_r3():
             stripe = encode(spec, random_info(spec, rng))
             total = 0
             for col in range(spec.k):
-                values, plan = rebuild_one(spec, stripe, col)
-                assert values == stripe[col]
+                assert decoded(spec, stripe, [col]) == stripe
+                plan = spec.plan.rebuild_plan(col)
                 for node in range(spec.n):
                     if node != col:
                         assert plan.cells_in(node) == 3 ** (m - 1)
@@ -91,7 +101,7 @@ def test_criterion_3_optimal_ratio_r3():
 def test_criterion_4_duplication():
     with criterion(4, 1, "duplication ratio 4/7 measured; 12/23 and 36/67 by formula"):
         spec = build_code("cons4", m=2, s=2)
-        measured = analysis.measured_ratio(spec)
+        measured = analysis.measure_rebuild(spec)[1]
         closed_form = Fraction(1, 2) * (1 + Fraction(2 - 1, 2 * 3 + 1))
         assert measured == Fraction(4, 7) == closed_form
 
@@ -150,8 +160,7 @@ def test_criterion_6_erasure_roundtrip():
             for _ in range(20):
                 stripe = encode(spec, random_info(spec, rng))
                 for pattern in patterns:
-                    got = decode_erasures(spec, stripe, pattern)
-                    assert got == stripe, f"{name} failed on {pattern}"
+                    assert decoded(spec, stripe, pattern) == stripe, f"{name} failed on {pattern}"
 
 
 def test_criterion_7_error_decoding_exhaustive():
@@ -164,11 +173,11 @@ def test_criterion_7_error_decoding_exhaustive():
             for packed in range(1, 3 ** 4):
                 pattern = [(packed // 3 ** x) % 3 for x in range(4)]
                 bad = [col[:] for col in stripe]
-                bad[node] = [f.add(a, d) for a, d in zip(bad[node], pattern)]
-                scan = decode_error(spec, bad)
-                assert scan.status == "corrected"
-                assert scan.location == node, "mislocated corruption"
-                assert scan.columns == stripe
+                bad[node] = as_column(f.q, [f.add(a, d) for a, d in zip(bad[node], pattern)])
+                fixed, uncorrectable = spec.plan.repair(bad, 1)
+                assert uncorrectable is None
+                assert fixed == {0: node}, "mislocated corruption"
+                assert bad == stripe
 
 
 def test_criterion_8_formula_measurement_reconciliation():
@@ -179,14 +188,14 @@ def test_criterion_8_formula_measurement_reconciliation():
         ww6 = build_code("weightw", family="weightw", m=6, w=3)
         undup.append(ww6)
         for spec in undup:
-            assert analysis.measured_ratio(spec) == analysis.predicted_ratio(spec)
+            assert analysis.measure_rebuild(spec)[1] == analysis.predicted_ratio(spec)
 
         # pairwise-overlap route: 1/2 + sum |f_v(X_v) n f_u(X_v)| / (p k (k+1))
         total = 0
         for v in ww6.family.vectors:
             for u in ww6.family.vectors:
                 if u != v:
-                    total += rebuild_overlap(v, u)
+                    total += oracles.overlap_r2(v.digits, u.digits, ww6.m)
         k, p = ww6.base_k, ww6.p
         assert analysis.predicted_ratio(ww6) == \
             Fraction(1, 2) + Fraction(total, p * k * (k + 1))
@@ -196,6 +205,6 @@ def test_criterion_9_orthogonality_and_size_bound():
     with criterion(9, 10, "standard families orthogonal; no size-3 family on 2 rows"):
         for r in (2, 3):
             for m in (1, 2, 3, 4):
-                assert orthogonality_check(standard_basis_family(m, r)).ok
+                assert oracles.orthogonality_violations(standard_basis_family(m, r)) == []
         assert oracles.search_orthogonal_family(1, 3) is None
         assert oracles.search_orthogonal_family(1, 2) is not None

@@ -5,7 +5,6 @@ import pytest
 import oracles
 from zzmds import analysis, gf
 from zzmds.construct import build_code
-from zzmds.perms import rebuild_overlap
 
 
 def test_predicted_standard_r2():
@@ -52,12 +51,12 @@ def test_measured_equals_predicted_without_duplication():
         build_code("weightw", family="weightw", m=6, w=3),
     ]
     for spec in specs:
-        assert analysis.measured_ratio(spec) == analysis.predicted_ratio(spec)
+        assert analysis.measure_rebuild(spec)[1] == analysis.predicted_ratio(spec)
 
 
 def test_measured_duplication_small_case():
     spec = build_code("cons4", m=2, s=2)
-    measured = analysis.measured_ratio(spec)
+    measured = analysis.measure_rebuild(spec)[1]
     assert measured == Fraction(4, 7)
     assert measured == analysis.predicted_ratio(spec)  # bound is tight here
 
@@ -65,18 +64,18 @@ def test_measured_duplication_small_case():
 def test_measured_never_exceeds_duplication_bound():
     for m, s in ((1, 2), (2, 2), (2, 3), (3, 2)):
         spec = build_code("cons4", m=m, s=s, field=gf.field_create("prime", 5))
-        assert analysis.measured_ratio(spec) <= analysis.predicted_ratio(spec)
+        assert analysis.measure_rebuild(spec)[1] <= analysis.predicted_ratio(spec)
 
 
 def test_terms_vanish_for_orthogonal_families():
     for spec in (build_code("cons3", m=3), build_code("r3", m=2)):
-        terms = analysis.ratio_formula_terms(spec)
+        terms = oracles.ratio_formula_terms(spec)
         assert all(v == 0 for row in terms for v in row)
 
 
 def test_terms_weightw_match_support_parity():
     spec = build_code("weightw", family="weightw", m=6, w=3)
-    terms = analysis.ratio_formula_terms(spec)
+    terms = oracles.ratio_formula_terms(spec)
     vecs = spec.family.vectors
     for vi, v in enumerate(vecs):
         for ui, u in enumerate(vecs):
@@ -90,7 +89,7 @@ def test_terms_aggregate_to_prediction():
     for spec in (build_code("cons3", m=3),
                  build_code("weightw", family="weightw", m=6, w=3),
                  build_code("r3", m=2)):
-        terms = analysis.ratio_formula_terms(spec)
+        terms = oracles.ratio_formula_terms(spec)
         K, p, r = spec.base_k, spec.p, spec.r
         total = K * p  # parity reads
         for vi in range(K):
@@ -109,7 +108,7 @@ def test_weightw_prediction_against_pairwise_overlap_sum():
     for v in vecs:
         for u in vecs:
             if u != v:
-                total += rebuild_overlap(v, u)
+                total += oracles.overlap_r2(v.digits, u.digits, spec.m)
     k, p = spec.base_k, spec.p
     expect = Fraction(1, 2) + Fraction(total, p * k * (k + 1))
     assert analysis.predicted_ratio(spec) == expect
@@ -118,16 +117,21 @@ def test_weightw_prediction_against_pairwise_overlap_sum():
 
 def test_terms_require_no_duplication():
     with pytest.raises(ValueError):
-        analysis.ratio_formula_terms(build_code("cons4", m=2, s=2))
+        oracles.ratio_formula_terms(build_code("cons4", m=2, s=2))
 
 
 def test_asymptotics():
-    assert analysis.asymptotic_ratio("weightw", 30, w=3) == Fraction(1, 2) + Fraction(9, 60)
-    assert analysis.asymptotic_ratio("weightw", 6, w=3) == Fraction(1, 2) + Fraction(9, 12)
-    assert analysis.asymptotic_ratio("standard", 5) == Fraction(1, 2)
-    assert analysis.asymptotic_ratio("standard", 5, r=3) == Fraction(1, 3)
+    assert oracles.asymptotic_ratio("weightw", 30, w=3) == Fraction(1, 2) + Fraction(9, 60)
+    assert oracles.asymptotic_ratio("weightw", 6, w=3) == Fraction(1, 2) + Fraction(9, 12)
+    assert oracles.asymptotic_ratio("standard", 5) == Fraction(1, 2)
+    assert oracles.asymptotic_ratio("standard", 5, r=3) == Fraction(1, 3)
     with pytest.raises(ValueError):
-        analysis.asymptotic_ratio("weightw", 6)
+        oracles.asymptotic_ratio("weightw", 6)
+    # the standard family meets its asymptotic ratio at every m
+    assert analysis.predicted_ratio(build_code("cons3", m=5)) == \
+        oracles.asymptotic_ratio("standard", 5)
+    assert analysis.predicted_ratio(build_code("r3", m=3)) == \
+        oracles.asymptotic_ratio("standard", 3, r=3)
 
 
 def test_lower_bounds():
@@ -155,7 +159,7 @@ def test_prediction_dominates_lower_bound():
 def test_measured_at_least_one_over_r():
     for spec in (build_code("cons3", m=2), build_code("cons4", m=2, s=2),
                  build_code("r3", m=2)):
-        assert analysis.measured_ratio(spec) >= Fraction(1, spec.r)
+        assert analysis.measure_rebuild(spec)[1] >= Fraction(1, spec.r)
 
 
 def test_ratio_report_contents():

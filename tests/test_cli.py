@@ -773,6 +773,42 @@ def test_missing_manifest(tmp_path, capsys):
     assert cli.main(["rebuild", str(tmp_path / "nothing")]) == 3
 
 
+# A prime far past gf.MAX_PRIME: trial division of it would not end.
+HUGE_PRIME_FIELD = "gf(1000000000000000003)"
+
+
+@pytest.mark.parametrize("command", ["rebuild", "decode", "scrub"])
+def test_oversized_prime_in_manifest(tmp_path, capsys, command):
+    out, _ = encode_config(tmp_path, CONFIG_53, size=100)
+    os.remove(out / node_filename(1))
+    rewrite_manifest(out, field_token=HUGE_PRIME_FIELD)
+    before = {name: read(out / name) for name in os.listdir(out)}
+    back = tmp_path / "back.bin"
+    argv = [command, str(out)] + (["--out", str(back)] if command == "decode" else [])
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "bad manifest" in err and "Traceback" not in err
+    assert {name: read(out / name) for name in os.listdir(out)} == before
+    assert not back.exists()
+
+
+def test_oversized_prime_in_config(tmp_path, capsys):
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(CONFIG_53.replace("field=gf(3)", f"field={HUGE_PRIME_FIELD}"))
+    write(tmp_path / "p.bin", b"payload")
+    out = tmp_path / "nodes"
+    start = time.perf_counter()
+    assert cli.main(["encode", str(tmp_path / "p.bin"), "--config", str(cfg),
+                     "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 PACKED_Q = (2, 3, 4, 5, 7, 9, 16, 251, 257, 65521)
 
 

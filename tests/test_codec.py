@@ -1,18 +1,23 @@
+"""The plan's operations on one stripe: node columns of T = 1 stripe, built
+with `files.as_column`, the k information columns first, lost nodes None.
+Encode, syndromes, rebuild reads, erasure decoding and error location are
+checked against the definitions, and the kernel over T stripes against T
+runs of one stripe."""
+
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zzmds import SingularMatrixError, gf
-from zzmds.codec import (CodecError, decode_erasures, decode_error, encode,
-                         rebuild_one, syndrome)
+from zzmds import gf
 from zzmds.construct import build_code
-from zzmds.perms import perm_unapply
-from zzmds.plan import as_column
+from zzmds.files import as_column
+from zzmds.plan import SingularMatrixError
 
 
 def code53():
@@ -25,9 +30,20 @@ def random_info(spec, rng):
             for _ in range(spec.k)]
 
 
+def encode(spec, info):
+    """The one-stripe node columns of the stripe whose k information columns
+    hold the symbol lists `info`."""
+    cols = [as_column(spec.field.q, col) for col in info]
+    return cols + spec.plan.encode(cols, 1)
+
+
 def rows(columns):
     """Row-major form of node columns, the form the oracles take."""
     return [list(row) for row in zip(*columns)]
+
+
+def lists(columns):
+    return [list(col) for col in columns]
 
 
 def copied(stripe):
@@ -35,12 +51,33 @@ def copied(stripe):
 
 
 def poisoned(stripe, erased):
-    """Copy with the erased columns overwritten by None, so any read of them
-    would blow up immediately."""
-    out = copied(stripe)
-    for node in erased:
-        out[node] = [None] * len(out[node])
-    return out
+    """Copy with the erased columns None, as the plan takes lost nodes: any
+    read of them would blow up."""
+    return [None if node in erased else col[:] for node, col in enumerate(stripe)]
+
+
+def decoded(spec, stripe, erased):
+    """The stripe decoded by the plan from its columns outside `erased`."""
+    cols = poisoned(stripe, erased)
+    spec.plan.decode(cols, 1, erased)
+    return cols
+
+
+def unread_changed(spec, stripe, node):
+    """The stripe with `node` lost and every surviving cell that its rebuild
+    does not read changed to another symbol, so that a rebuild reading any of
+    them would come out wrong."""
+    q, access = spec.field.q, spec.plan.rebuild_plan(node).access
+    cols = poisoned(stripe, [node])
+    for j, col in enumerate(cols):
+        if col is not None:
+            for x in set(range(spec.p)) - set(access.get(j, ())):
+                col[x] = (col[x] + 1) % q
+    return cols
+
+
+def syndrome(spec, stripe):
+    return lists(spec.plan.syndrome(stripe, 1))
 
 
 SPECS = {
@@ -94,46 +131,14 @@ def test_encode_matches_definition(spec):
     rng = random.Random(5)
     info = random_info(spec, rng)
     stripe = encode(spec, info)
-    assert stripe[:spec.k] == info
+    assert lists(stripe[:spec.k]) == info
     for sidx in range(spec.r):
-        assert stripe[spec.k + sidx] == oracles.parity_by_definition(spec, rows(info), sidx)
+        assert list(stripe[spec.k + sidx]) == oracles.parity_by_definition(spec, rows(info), sidx)
 
 
 def test_encode_zero_info_gives_zero_parity(spec):
     stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
     assert all(all(v == 0 for v in col) for col in stripe[spec.k:])
-
-
-def test_encode_validates_dimensions():
-    spec = code53()
-    with pytest.raises(CodecError):
-        encode(spec, [[0] * spec.p for _ in range(spec.k - 1)])
-    with pytest.raises(CodecError):
-        encode(spec, [[0] * (spec.p - 1) for _ in range(spec.k)])
-    with pytest.raises(gf.FieldError):
-        encode(spec, [[7] * spec.p for _ in range(spec.k)])
-
-
-def test_stripe_inputs_are_checked():
-    spec = code53()
-    stripe = encode(spec, [[0] * 4 for _ in range(3)])
-    with pytest.raises(CodecError):
-        rebuild_one(spec, stripe, spec.n)
-    with pytest.raises(CodecError):
-        decode_erasures(spec, stripe, [-1])
-    with pytest.raises(CodecError):
-        syndrome(spec, stripe[:-1])
-    with pytest.raises(CodecError):
-        decode_error(spec, stripe[:2] + [[0] * 3] + stripe[3:])
-    with pytest.raises(gf.FieldError):
-        rebuild_one(spec, stripe[:2] + [[0, 0, 0, 7]] + stripe[3:], 1)
-    # an erased column is never read, so it may be missing altogether
-    assert rebuild_one(spec, stripe[:1] + [None] + stripe[2:], 1)[0] == stripe[1]
-    # inputs are copied, never patched in place
-    bad = copied(stripe)
-    bad[0][0] = 1
-    assert decode_error(spec, bad).columns == stripe
-    assert bad[0][0] == 1
 
 
 def test_syndrome_zero_on_consistent(spec):
@@ -175,30 +180,31 @@ def test_rebuild_code53_column1_access():
     spec = code53()
     rng = random.Random(17)
     stripe = encode(spec, random_info(spec, rng))
-    values, plan = rebuild_one(spec, poisoned(stripe, [1]), 1)
-    assert values == stripe[1]
+    # an erased column is never read, so it may be missing altogether
+    assert decoded(spec, stripe, [1]) == stripe
+    assert decoded(spec, unread_changed(spec, stripe, 1), [1])[1] == stripe[1]
+    plan = spec.plan.rebuild_plan(1)
     # reads a_00, a_10, a_02, a_12 plus r_0, r_1, z_0, z_1 and nothing else
     assert plan.access == {0: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 1)}
     assert plan.cells_read == 8
     assert plan.ratio(spec) == Fraction(1, 2)
-    assert plan.rows_by_parity == [[0, 1], [2, 3]]
+    assert [sorted(spec.access_rows(1, sidx)) for sidx in range(spec.r)] == [[0, 1], [2, 3]]
 
 
 def test_rebuild_restores_every_node(spec):
     rng = random.Random(21)
     stripe = encode(spec, random_info(spec, rng))
     for node in range(spec.n):
-        values, plan = rebuild_one(spec, poisoned(stripe, [node]), node)
-        assert values == stripe[node]
+        # only the cells of its access sets are read
+        assert decoded(spec, unread_changed(spec, stripe, node), [node])[node] == stripe[node]
         if node < spec.k:
-            rows = sorted(x for rows in plan.rows_by_parity for x in rows)
+            rows = sorted(x for sidx in range(spec.r) for x in spec.access_rows(node, sidx))
             assert rows == list(range(spec.p))
 
 
 def test_rebuild_parity_reads_everything():
     spec = code53()
-    stripe = encode(spec, [[0] * 4 for _ in range(3)])
-    _, plan = rebuild_one(spec, stripe, 3)
+    plan = spec.plan.rebuild_plan(3)
     assert plan.ratio(spec) == 1
     assert plan.access == {c: tuple(range(4)) for c in range(3)}
 
@@ -206,9 +212,8 @@ def test_rebuild_parity_reads_everything():
 def test_rebuild_orthogonal_reads_quarter_per_node():
     for m in (2, 3):
         spec = build_code("r3", m=m)
-        stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
         for col in range(spec.k):
-            _, plan = rebuild_one(spec, stripe, col)
+            plan = spec.plan.rebuild_plan(col)
             for node in range(spec.n):
                 if node != col:
                     assert plan.cells_in(node) == spec.p // 3
@@ -217,10 +222,9 @@ def test_rebuild_orthogonal_reads_quarter_per_node():
 
 def test_rebuild_duplicated_reads_siblings_fully():
     spec = build_code("cons4", m=2, s=2)
-    stripe = encode(spec, [[0] * spec.p for _ in range(spec.k)])
     total = 0
     for col in range(spec.k):
-        _, plan = rebuild_one(spec, stripe, col)
+        plan = spec.plan.rebuild_plan(col)
         sibling = col + 1 if col % 2 == 0 else col - 1
         assert plan.cells_in(sibling) == spec.p
         for other in range(spec.k):
@@ -232,28 +236,25 @@ def test_rebuild_duplicated_reads_siblings_fully():
 
 def test_decode_all_patterns(spec):
     rng = random.Random(33)
-    from itertools import combinations
     for _ in range(3):
         stripe = encode(spec, random_info(spec, rng))
         for size in range(0, spec.r + 1):
             for pattern in combinations(range(spec.n), size):
-                got = decode_erasures(spec, poisoned(stripe, pattern), pattern)
-                assert got == stripe
+                assert decoded(spec, stripe, pattern) == stripe
 
 
 def test_decode_both_parities_is_reencode():
     spec = code53()
     rng = random.Random(37)
     stripe = encode(spec, random_info(spec, rng))
-    got = decode_erasures(spec, poisoned(stripe, [3, 4]), [3, 4])
-    assert got == stripe
+    assert decoded(spec, stripe, [3, 4]) == stripe
 
 
 def test_decode_rejects_too_many():
     spec = code53()
     stripe = encode(spec, [[0] * 4 for _ in range(3)])
-    with pytest.raises(CodecError):
-        decode_erasures(spec, stripe, [0, 1, 2])
+    with pytest.raises(SingularMatrixError):
+        decoded(spec, stripe, [0, 1, 2])
 
 
 def test_decode_signals_undecodable_spec():
@@ -264,15 +265,15 @@ def test_decode_signals_undecodable_spec():
     spec = build_code("table", m=2, field=f2, coefficients=ones)
     stripe = encode(spec, [[0] * 4 for _ in range(3)])
     with pytest.raises(SingularMatrixError):
-        decode_erasures(spec, stripe, [0, 1])
+        decoded(spec, stripe, [0, 1])
 
 
 def test_decode_error_clean():
     spec = code53()
     stripe = encode(spec, [[2] * 4 for _ in range(3)])
-    scan = decode_error(spec, stripe)
-    assert scan.status == "clean" and scan.location is None
-    assert scan.columns == stripe
+    cols = copied(stripe)
+    assert spec.plan.repair(cols, 1) == ({}, None)
+    assert cols == stripe
 
 
 def test_decode_error_locates_and_corrects_sampled():
@@ -287,10 +288,8 @@ def test_decode_error_locates_and_corrects_sampled():
             bad = copied(stripe)
             for x in range(spec.p):
                 bad[col][x] = spec.field.add(bad[col][x], pattern[x])
-            scan = decode_error(spec, bad)
-            assert scan.status == "corrected"
-            assert scan.location == col
-            assert scan.columns == stripe
+            assert spec.plan.repair(bad, 1) == ({0: col}, None)
+            assert bad == stripe
 
 
 def test_decode_error_fixes_parity():
@@ -300,9 +299,8 @@ def test_decode_error_fixes_parity():
     for sidx, node in ((0, 3), (1, 4)):
         bad = copied(stripe)
         bad[node][1] = spec.field.add(bad[node][1], 2)
-        scan = decode_error(spec, bad)
-        assert scan.status == "corrected" and scan.location == node
-        assert scan.columns == stripe
+        assert spec.plan.repair(bad, 1) == ({0: node}, None)
+        assert bad == stripe
 
 
 def single_column_interpretations(spec, stripe):
@@ -345,14 +343,15 @@ def test_decode_error_two_columns():
         bad[j1][x1] = f.add(bad[j1][x1], rng.randrange(1, 3))
         bad[j2][x2] = f.add(bad[j2][x2], rng.randrange(1, 3))
         interps = single_column_interpretations(spec, bad)
-        scan = decode_error(spec, bad)
-        if scan.status == "uncorrectable":
+        fixed, stripe_left = spec.plan.repair(bad, 1)
+        if stripe_left is not None:
             uncorrectable += 1
+            assert (fixed, stripe_left) == ({}, 0)
             assert interps == []
         else:
-            assert scan.status == "corrected"
-            assert scan.location in interps
-            assert not any(any(v for v in s) for s in syndrome(spec, scan.columns))
+            assert list(fixed) == [0]
+            assert fixed[0] in interps
+            assert not any(any(v for v in s) for s in syndrome(spec, bad))
     assert uncorrectable > 20  # aliasing is the exception, not the rule
 
 
@@ -365,9 +364,8 @@ def test_decode_error_locates_with_three_parities():
         col = bad[node]
         for x in rng.sample(range(spec.p), rng.randrange(1, spec.p + 1)):
             col[x] = spec.field.add(col[x], rng.randrange(1, spec.field.q))
-        scan = decode_error(spec, bad)
-        assert scan.status == "corrected" and scan.location == node
-        assert scan.columns == stripe
+        assert spec.plan.repair(bad, 1) == ({0: node}, None)
+        assert bad == stripe
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -376,12 +374,13 @@ def test_decode_error_locates_with_three_parities():
 def test_property_erasures_decode_exactly(name, data):
     spec = built(name)
     stripe = drawn_stripe(data, spec)
-    assert stripe[spec.k:] == [oracles.parity_by_definition(spec, rows(stripe[:spec.k]), sidx)
-                               for sidx in range(spec.r)]
+    assert lists(stripe[spec.k:]) == [oracles.parity_by_definition(spec, rows(stripe[:spec.k]),
+                                                                    sidx)
+                                      for sidx in range(spec.r)]
     size = data.draw(st.integers(0, spec.r), label="size")
     erased = data.draw(st.lists(st.integers(0, spec.n - 1), min_size=size, max_size=size,
                                 unique=True), label="erased")
-    assert decode_erasures(spec, poisoned(stripe, erased), erased) == stripe
+    assert decoded(spec, stripe, erased) == stripe
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -395,10 +394,9 @@ def test_property_single_column_corruption_corrected(name, data):
     delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=spec.p, max_size=spec.p)
                       .filter(any), label="delta")
     bad = copied(stripe)
-    bad[node] = [f.add(a, d) for a, d in zip(bad[node], delta)]
-    scan = decode_error(spec, bad)
-    assert (scan.status, scan.location) == ("corrected", node)
-    assert scan.columns == stripe
+    bad[node] = as_column(f.q, [f.add(a, d) for a, d in zip(bad[node], delta)])
+    assert spec.plan.repair(bad, 1) == ({0: node}, None)
+    assert bad == stripe
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -406,7 +404,7 @@ def test_property_single_column_corruption_corrected(name, data):
 @given(data=st.data())
 def test_property_plan_runs_stripes_at_once(name, data):
     # The plan's kernels over several stripes at once, the CLI's way, give
-    # each stripe what the single-stripe codec calls give.
+    # each stripe what they give over that stripe alone (T = 1).
     spec = built(name)
     plan, p, f = spec.plan, spec.p, spec.field
     count = data.draw(st.integers(0, 4), label="stripes")
@@ -425,8 +423,7 @@ def test_property_plan_runs_stripes_at_once(name, data):
                                 unique=True), label="erased")
     restored = [None if node in erased else col for node, col in enumerate(cols)]
     plan.decode(restored, count, erased)
-    assert restored == joined([decode_erasures(spec, poisoned(stripe, erased), erased)
-                               for stripe in stripes])
+    assert restored == joined([decoded(spec, stripe, erased) for stripe in stripes])
 
     # The same erasures, with one surviving column corrupted in some stripes
     # while there is parity left over to see it, go through `repair`.
@@ -439,7 +436,7 @@ def test_property_plan_runs_stripes_at_once(name, data):
         if node is not None:
             delta = data.draw(st.lists(st.integers(0, f.q - 1), min_size=p, max_size=p)
                               .filter(any), label="delta")
-            bad[node] = [f.add(a, d) for a, d in zip(bad[node], delta)]
+            bad[node] = as_column(f.q, [f.add(a, d) for a, d in zip(bad[node], delta)])
             corrupted[t] = node
         bad_stripes.append(bad)
     cols = [None if node in erased else col for node, col in enumerate(joined(bad_stripes))]
@@ -461,7 +458,7 @@ def test_zigzag_lists_match_perm_unapply(spec):
     for vector, per_parity in zip(spec.family.vectors, zigzags):
         assert len(per_parity) == spec.r
         for sidx, rows in enumerate(per_parity):
-            assert rows == [perm_unapply(vector, sidx, z) for z in range(spec.p)]
+            assert rows == [oracles.perm_unapply(vector, sidx, z) for z in range(spec.p)]
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

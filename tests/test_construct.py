@@ -18,9 +18,8 @@ def test_code53_zigzag_structure():
     # zigzag sets of the second parity with their coefficients, as printed:
     # z_0 = a_00 + 2 a_21 + 2 a_12 and z_1 = a_10 + 2 a_31 + a_02
     def members(zidx):
-        return {(spec.source_row(zidx, col, 1), col,
-                 spec.coefficient(spec.source_row(zidx, col, 1), col, 1))
-                for col in range(spec.k)}
+        rows = [oracles.source_row(spec, zidx, col, 1) for col in range(spec.k)]
+        return {(row, col, spec.coefficient(row, col, 1)) for col, row in enumerate(rows)}
 
     assert members(0) == {(0, 0, 1), (2, 1, 2), (1, 2, 2)}
     assert members(1) == {(1, 0, 1), (3, 1, 2), (0, 2, 1)}
@@ -48,13 +47,15 @@ def test_zigzag_index():
 
     r3 = build_code("r3", m=2)
     assert oracles.zigzag_index(r3, 0, 1, 2) == 6  # 0 + 2*e_1 has digits (2, 0)
-    # source_row inverts it
+    # source_row inverts it, and the plan's parity gathers put each cell in
+    # that set with its coefficient
     for s in (spec, r3, build_code("cons4", m=2, s=2)):
         for row in range(s.p):
             for col in range(s.k):
                 for sidx in range(s.r):
-                    assert s.source_row(oracles.zigzag_index(s, row, col, sidx),
-                                        col, sidx) == row
+                    zidx = oracles.zigzag_index(s, row, col, sidx)
+                    assert oracles.source_row(s, zidx, col, sidx) == row
+                    assert (col, row, s.coefficient(row, col, sidx)) in s.plan.parity[sidx][zidx]
 
 
 def test_default_fields():

@@ -28,7 +28,7 @@ def field(request):
 
 
 def test_axioms_exhaustive(field):
-    els = list(field.elements())
+    els = list(range(field.q))
     if field.q <= 16:
         triples = [(a, b, c) for a in els for b in els for c in els]
     else:

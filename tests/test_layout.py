@@ -1,0 +1,81 @@
+"""Checks on the repository itself: `src/` holds only code the package runs,
+and the README's library example runs as written."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zzmds"
+
+# Entry points called from outside `src/`.
+EXEMPT = {"cli.main"}
+
+
+def definitions(module, tree):
+    """{qualified name: node} of the module's functions and classes and the
+    methods of its classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[f"{module}.{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{module}.{node.name}.{item.name}"] = item
+    return out
+
+
+def references(tree, owners):
+    """(name, enclosing definitions) for each Name and Attribute in the
+    tree; `owners` maps definition nodes to their qualified names."""
+    out = []
+
+    def visit(node, chain):
+        if node in owners:
+            chain = chain + (owners[node],)
+        if isinstance(node, ast.Name):
+            out.append((node.id, chain))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, chain))
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+
+    visit(tree, ())
+    return out
+
+
+def unused_definitions():
+    """Qualified names of the definitions in `src/zzmds` that nothing in
+    `src/` refers to outside their own bodies.  A reference counts only from
+    module-level code or from inside definitions that are themselves used,
+    repeated to a fixpoint, so a chain of helpers that only an unused
+    definition reaches is unused as a whole.  Names are matched by their last
+    part, so a method shares its uses with every attribute of its name."""
+    defs, chains = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found = definitions(path.stem, tree)
+        defs.update(found)
+        for ref, chain in references(tree, {node: name for name, node in found.items()}):
+            chains.setdefault(ref, set()).add(chain)
+    used = set(defs)
+    while True:
+        now = {name for name in defs
+               if name.rsplit(".", 1)[1].startswith("__") or name in EXEMPT
+               or any(name not in chain and used.issuperset(chain)
+                      for chain in chains.get(name.rsplit(".", 1)[1], ()))}
+        if now == used:
+            return sorted(set(defs) - used)
+        used = now
+
+
+def test_src_holds_no_unused_definitions():
+    assert unused_definitions() == []
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from . import analysis, files
 from .construct import CodeSpecError, build_code, verify_mds
@@ -17,6 +18,11 @@ from .files import zero_column
 from .plan import SingularMatrixError
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
+
+# A config's code holds p*k cells per stripe, and building it takes time and
+# memory in proportion.  Twice the largest code in the tests and README (cons4
+# m=10 s=6, 67,584 cells); cons3 m=24 would hold 419 million.
+MAX_CONFIG_CELLS = 2 ** 17
 
 
 class CliError(Exception):
@@ -48,21 +54,44 @@ def parse_config(path: str):
         raise CliError("config needs scheme=")
     if scheme == "table":
         raise CliError("table-scheme codes carry coefficients only through the API")
+    family, vectors = values.get("family", "standard"), values.get("vectors")
     try:
         field = field_from_token(values["field"]) if "field" in values else None
-        spec = build_code(
-            scheme,
-            family=values.get("family", "standard"),
-            m=int(values["m"]) if "m" in values else None,
-            r=int(values["r"]) if "r" in values else None,
-            s=int(values.get("s", 1)),
-            w=int(values["w"]) if "w" in values else None,
-            vectors=values.get("vectors"),
-            field=field,
-        )
+        m = int(values["m"]) if "m" in values else None
+        r = int(values["r"]) if "r" in values else None
+        s = int(values.get("s", 1))
+        w = int(values["w"]) if "w" in values else None
+        _check_size(scheme, family, m, r, s, w, vectors)
+        spec = build_code(scheme, family=family, m=m, r=r, s=s, w=w, vectors=vectors,
+                          field=field)
     except (CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad config: {e}") from None
     return spec
+
+
+def _check_size(scheme, family, m, r, s, w, vectors):
+    """Refuse a config whose code has more than MAX_CONFIG_CELLS cells per
+    stripe, p*k counted from its keys before anything is built.  Keys that
+    make no code are left for `build_code` to refuse."""
+    if family == "explicit" and vectors:
+        vectors = vectors.split(",")
+        m, size = len(vectors[0].strip()), len(vectors)
+    elif family == "standard" and m is not None:
+        size = m + 1
+    elif family == "weightw" and m is not None and w is not None and w >= 2 and m % w == 0:
+        r, size = 2, None
+    else:
+        return
+    if r is None:
+        r = 3 if scheme == "r3" else 2
+    if r < 2 or s < 1 or m < 1:
+        return
+    # r >= 2, so r^m is past the bound once m is past its bit length
+    if m < MAX_CONFIG_CELLS.bit_length():
+        cells = s * r ** m * (size or (m // w) ** w)
+        if cells <= MAX_CONFIG_CELLS:
+            return
+    raise CodeSpecError(f"code too large: more than {MAX_CONFIG_CELLS} cells per stripe")
 
 
 def _load_dir(directory):
@@ -313,7 +342,10 @@ def cmd_dump_coefficients(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The command line's parser, built once per process: parse_args keeps
+    no state in it between calls."""
     parser = argparse.ArgumentParser(prog="zzmds",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

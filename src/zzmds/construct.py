@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .gf import Field, field_create, gf9, is_prime
@@ -186,41 +186,48 @@ def _build_cons4(family, field, s):
 
 
 def _build_weightw(family, field, s):
-    p = family.p
+    """Coefficient a^e of (row, vector): bit b of e, most significant first,
+    is the parity of the row's digits from the start of block b through the
+    vector's 1 in that block."""
     w = block_width(family)
-    block = family.m // w
-    a = field.primitive
-    table = [[0] * family.size for _ in range(p)]
-    for j, v in enumerate(family.vectors):
-        sup = v.support()
-        for row in range(p):
-            rd = to_digits(row, 2, family.m)
-            exp = 0
-            for b, pos in enumerate(sup):
-                bit = sum(rd[b * block:pos]) % 2
-                exp = exp * 2 + bit
-            table[row][j] = field.pow(a, exp)
-    return (tuple(tuple(r) for r in table),)
+    block, exp, order = family.m // w, field.exp, field.q - 1
+    ones = [[pos - 1 for pos in v.support()] for v in family.vectors]
+    table = []
+    for digits in product(range(2), repeat=family.m):
+        # parities[i]: the parity of the digits from i's block start through i
+        parities, acc = [], 0
+        for i, d in enumerate(digits):
+            acc = d if i % block == 0 else acc ^ d
+            parities.append(acc)
+        row = []
+        for positions in ones:
+            e = 0
+            for i in positions:
+                e = 2 * e + parities[i]
+            row.append(exp[e % order])
+        table.append(tuple(row))
+    return (tuple(table),)
 
 
 def _build_r3(family, field, s):
-    p = family.p
-    a = field.primitive
-    tables = []
-    for sidx in (1, 2):
-        table = [[0] * family.size for _ in range(p)]
-        for l, v in enumerate(family.vectors):
-            al = field.pow(a, l)
-            for row in range(p):
-                acc = 1
-                y = row
-                for _ in range(sidx):
-                    if v.dot(y) == 0:
-                        acc = field.mul(acc, al)
-                    y = family.apply(l, 1, y)
-                table[row][l] = acc
-        tables.append(tuple(tuple(r) for r in table))
-    return tuple(tables)
+    """Coefficient a^(l*c) of (row, vector l) in parity sidx: c counts the
+    steps i < sidx of the orbit row + i*v with v.(row + i*v) = 0, where
+    v.(row + i*v) = v.row + i*(v.v)."""
+    r, exp, order = family.r, field.exp, field.q - 1
+    terms = [[(i, d) for i, d in enumerate(v.digits) if d] for v in family.vectors]
+    steps = [v.dot_vec(v) for v in family.vectors]
+    tables = ([], [])
+    for digits in product(range(r), repeat=family.m):
+        rows = ([], [])
+        for l, (nonzero, step) in enumerate(zip(terms, steps)):
+            dot = sum(d * digits[i] for i, d in nonzero) % r
+            hits = 0
+            for i, row in enumerate(rows):     # parity i + 1 adds orbit step i
+                hits += (dot + i * step) % r == 0
+                row.append(exp[l * hits % order])
+        for table, row in zip(tables, rows):
+            table.append(tuple(row))
+    return tuple(tuple(table) for table in tables)
 
 
 _BUILDERS = {"cons3": _build_cons4, "cons4": _build_cons4,

@@ -23,9 +23,15 @@ plan checks neither the column form nor the symbols (the command line's
 reader, `files.read_columns`, does), and `decode` and `repair` fill in
 `cols` in place.
 
-An erasure pattern's surviving parity equations are solved by the one
-Gauss-Jordan elimination here, on the same tables: its pivot rows are the
-pattern's decode map, and their number is the rank `verify_mds` checks.
+A decode of several nodes runs syndrome first.  With the erased columns
+read as zero, the syndrome cell of each surviving zigzag set is the known
+part of that set's equation, so the erased cells are combinations of
+syndrome cells alone.  The one Gauss-Jordan elimination here solves the
+pattern's equations in its erased cells, on the same tables.  Its pivot
+rows, read over the syndrome cells, are the pattern's decode map, and their
+number is the rank `verify_mds` checks.  The zigzag sets split the erased
+cells into independent blocks, and each cell reads only its own block's
+syndrome cells (27 per cell for three lost columns of r3 m=3).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from functools import cached_property, reduce
 from operator import xor
 from typing import NamedTuple
 
-from .files import as_column, zero_column
+from .files import as_column, symbol_width, zero_column
 
 # Fields up to this size get materialised q x q tables (two of at most 65536
 # entries).  Larger ones, which only explicit prime-field configs reach, read
@@ -172,7 +178,7 @@ class CodePlan:
         self.neg = [field.neg(a) for a in range(q)]
         self._lift, self._total = row_arithmetic(field, self.mul, self.add)
         self._targets = {}    # node -> (gather list, RebuildPlan)
-        self._decoders = {}   # erased pattern -> gather lists of its systematic columns
+        self._decoders = {}   # erased pattern -> its decode map, a chain of gather lists
 
     # -- the kernel -----------------------------------------------------------
 
@@ -209,9 +215,11 @@ class CodePlan:
         """Fill in, in place, the entries of `cols` for the erased nodes from
         the surviving columns.
 
-        Erased systematic columns come from the pattern's decode map, then
-        erased parities are encoded again.  Raises SingularMatrixError when
-        the surviving columns do not determine the erased ones.
+        Erased systematic columns come from the pattern's decode map, a chain
+        of gather lists that each read the previous one's output, the first
+        reading `cols`.  Erased parities are then encoded again.  Raises
+        SingularMatrixError when the surviving columns do not determine the
+        erased ones.
         """
         erased = tuple(sorted(erased))
         lost = [c for c in erased if c < self.k]
@@ -219,7 +227,10 @@ class CodePlan:
         if lost:
             if erased not in self._decoders:
                 self._decoders[erased] = self._decoder(erased)
-            for node, col in zip(lost, self.run(self._decoders[erased], cols, nstripes)):
+            out = cols
+            for gathers in self._decoders[erased]:
+                out = self.run(gathers, out, nstripes)
+            for node, col in zip(lost, out):
                 cols[node] = col
         gathers = [self.parity[c - self.k] for c in parities]
         for node, col in zip(parities, self.run(gathers, cols, nstripes)):
@@ -259,11 +270,19 @@ class CodePlan:
         return fixed, (bad[0] if bad else None)
 
     def _inconsistent(self, cols, nstripes: int) -> list:
-        """The stripes of `cols` with a nonzero syndrome, in order."""
-        syndromes = self.syndrome(cols, nstripes)
-        zero = zero_column(self.field.q, self.p)
-        return [t for t in range(nstripes)
-                if any(s[t::nstripes] != zero for s in syndromes)]
+        """The stripes of `cols` with a nonzero syndrome, in order.  Every row
+        extent of every syndrome is read as one big int and OR-ed into one,
+        whose lane t is nonzero exactly when stripe t is inconsistent."""
+        width = symbol_width(self.field.q)
+        size = nstripes * width
+        acc = 0
+        for s in self.syndrome(cols, nstripes):
+            extents = memoryview(s).cast("B")
+            for x in range(self.p):
+                acc |= int.from_bytes(extents[x * size:(x + 1) * size], "little")
+        for _ in range(width - 1):
+            acc |= acc >> 8       # a lane's high byte into its low byte
+        return [t for t, v in enumerate(acc.to_bytes(size, "little")[::width]) if v]
 
     def _stripes(self, col, stripes, nstripes: int):
         """The column of the given stripes of `col`, a column of nstripes."""
@@ -352,20 +371,19 @@ class CodePlan:
         """(rows, U): one sparse row ({column: coefficient}) per surviving
         parity cell, in parity order, saying that its zigzag set minus the
         parity cell sums to zero.  The U cells of the erased systematic
-        columns are the unknowns, columns [0, U); surviving cell (node, row)
-        is column U + node * p + row."""
+        columns are the unknowns, columns [0, U).  The rest of the set is
+        known: it is the set's syndrome cell with the erased columns read as
+        zero, column U + a * p + z with coefficient 1 for set z of the a-th
+        surviving parity."""
         p, k = self.p, self.k
         slot = {col: i for i, col in enumerate(c for c in erased if c < k)}
         unknowns = len(slot) * p
-        minus_one = self.neg[1]
+        alive = [sidx for sidx in range(self.r) if k + sidx not in erased]
         rows = []
-        for sidx, sets in enumerate(self.parity):
-            if k + sidx in erased:
-                continue
-            for z, members in enumerate(sets):
-                row = {unknowns + (k + sidx) * p + z: minus_one}
-                for col, y, c in members:
-                    row[slot[col] * p + y if col in slot else unknowns + col * p + y] = c
+        for a, sidx in enumerate(alive):
+            for z, members in enumerate(self.parity[sidx]):
+                row = {slot[col] * p + y: c for col, y, c in members if col in slot}
+                row[unknowns + a * p + z] = 1
                 rows.append(row)
         return rows, unknowns
 
@@ -409,18 +427,24 @@ class CodePlan:
         return len(self._eliminate(rows, unknowns)) == unknowns
 
     def _decoder(self, erased):
-        """Gather lists of the erased systematic columns, each cell a
-        combination of surviving cells.  One node is read through its
-        rebuild gather.  Otherwise each unknown u's pivot row reads
-        u + sum(c * s) = 0 over surviving cells s, so u = sum(-c * s)."""
+        """The decode map of a pattern: gather lists that `decode` chains to
+        give its erased systematic columns.  One node is read through its
+        rebuild gather alone.  Otherwise the map is two gathers.  The first
+        computes the surviving parities' syndromes with the erased columns
+        read as zero.  In the second, each unknown u's pivot row reads
+        u + sum(c * syndrome cell) = 0, so u = sum(-c * syndrome cell).  The
+        zigzag sets split the unknowns into independent blocks, so each
+        unknown reads only its own block's syndrome cells."""
         if len(erased) == 1:
-            return [self._target(erased[0])[0]]
+            return [[self._target(erased[0])[0]]]
         p, neg = self.p, self.neg
         rows, unknowns = self._equations(erased)
         pivots = self._eliminate(rows, unknowns)
         if len(pivots) < unknowns:
             raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
-        cells = [[(*divmod(col - unknowns, p), neg[c])
+        solve = [[(*divmod(col - unknowns, p), neg[c])
                   for col, c in sorted(pivots[u].items()) if col != u]
                  for u in range(unknowns)]
-        return [cells[i:i + p] for i in range(0, unknowns, p)]
+        syndrome = [[[term for term in terms if term[0] not in erased] for terms in gather]
+                    for sidx, gather in enumerate(self._syndrome) if self.k + sidx not in erased]
+        return [syndrome, [solve[i:i + p] for i in range(0, unknowns, p)]]

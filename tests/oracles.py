@@ -207,6 +207,120 @@ def run_by_cells(spec, gathers, cols, nstripes):
     return outs
 
 
+def _set_members(spec, zidx, sidx):
+    """(column, row, coefficient) of each information cell in parity-sidx
+    set zidx."""
+    out = []
+    for col in range(spec.k):
+        y = source_row(spec, zidx, col, sidx)
+        out.append((col, y, spec.coefficient(y, col, sidx)))
+    return out
+
+
+def _survivor_maps(spec, pattern):
+    """Each erased information cell (col, row), in column-major order, as
+    {surviving (node, row): coefficient}, or None if the pattern is not
+    decodable.
+
+    One lost information column is read row by row through the one parity
+    whose access set holds the row.  Otherwise the surviving parity
+    equations are taken in parity order, and each is kept if its erased
+    part is independent of those kept before; Gauss-Jordan on the kept ones
+    expresses each erased cell over surviving cells."""
+    f, p, k = spec.field, spec.p, spec.k
+    lost = [c for c in pattern if c < k]
+    if len(pattern) == 1:
+        (j,) = lost
+        vd, zero = vector_for(spec, j), j // spec.s == spec.family.zero_index
+        out = []
+        for x in range(p):
+            sidx = next(s for s in range(spec.r)
+                        if x in explicit_access_set(vd, s, spec.r, spec.m, zero))
+            zidx = zigzag_index(spec, x, j, sidx)
+            ic = power(f, spec.coefficient(x, j, sidx), -1)
+            cell = {(k + sidx, zidx): ic}
+            for col, y, c in _set_members(spec, zidx, sidx):
+                if col != j:
+                    cell[(col, y)] = f.neg(f.mul(ic, c))
+            out.append(cell)
+        return out
+    unknowns = [(col, row) for col in lost for row in range(p)]
+    index = {cell: u for u, cell in enumerate(unknowns)}
+    pivots = []   # (unknown, dense erased part, {surviving cell: coefficient})
+    for sidx in range(spec.r):
+        if k + sidx in pattern:
+            continue
+        for zidx in range(p):
+            part, known = [0] * len(unknowns), {(k + sidx, zidx): f.neg(1)}
+            for col, y, c in _set_members(spec, zidx, sidx):
+                if (col, y) in index:
+                    part[index[(col, y)]] = c
+                else:
+                    known[(col, y)] = c
+            for u, prow, pknown in pivots:
+                if part[u]:
+                    _subtract(f, part, known, part[u], prow, pknown)
+            free = [u for u, c in enumerate(part) if c]
+            if not free:
+                continue
+            u = free[0]
+            scale = power(f, part[u], -1)
+            part = [f.mul(scale, c) for c in part]
+            known = {cell: f.mul(scale, c) for cell, c in known.items()}
+            for _, prow, pknown in pivots:
+                if prow[u]:
+                    _subtract(f, prow, pknown, prow[u], part, known)
+            pivots.append((u, part, known))
+    if len(pivots) < len(unknowns):
+        return None
+    # each pivot row reads u + sum(c * cell) = 0
+    by_unknown = {u: known for u, _, known in pivots}
+    return [{cell: f.neg(c) for cell, c in by_unknown[u].items()}
+            for u in range(len(unknowns))]
+
+
+def _subtract(f, part, known, factor, prow, pknown):
+    """(part, known) -= factor * (prow, pknown), in place."""
+    for i, c in enumerate(prow):
+        part[i] = f.sub(part[i], f.mul(factor, c))
+    for cell, c in pknown.items():
+        known[cell] = f.sub(known.get(cell, 0), f.mul(factor, c))
+
+
+def decode_by_survivors(spec, cols, nstripes, pattern):
+    """Node columns (row-major symbol lists of T = nstripes stripes, erased
+    nodes None) with the erased ones filled in, each erased information cell
+    as its combination of surviving cells (`_survivor_maps`), then each
+    erased parity by definition.  None if the pattern is not decodable."""
+    p, f = spec.p, spec.field
+    pattern = sorted(pattern)
+    lost = [c for c in pattern if c < spec.k]
+    cols = list(cols)
+    if lost:
+        maps = _survivor_maps(spec, pattern)
+        if maps is None:
+            return None
+        for i, col in enumerate(lost):
+            out = [0] * (nstripes * p)
+            for row in range(p):
+                for t in range(nstripes):
+                    acc = 0
+                    for (node, y), c in maps[i * p + row].items():
+                        acc = f.add(acc, f.mul(c, cols[node][y * nstripes + t]))
+                    out[row * nstripes + t] = acc
+            cols[col] = out
+    for node in pattern:
+        if node >= spec.k:
+            out = [0] * (nstripes * p)
+            for t in range(nstripes):
+                info = [[cols[col][row * nstripes + t] for col in range(spec.k)]
+                        for row in range(p)]
+                for z, v in enumerate(parity_by_definition(spec, info, node - spec.k)):
+                    out[z * nstripes + t] = v
+            cols[node] = out
+    return cols
+
+
 def decodable(spec, pattern):
     """Whether an erasure pattern decodes, by exhaustive search: it does
     unless some nonzero assignment of its erased information cells, every

@@ -2,6 +2,8 @@ import hashlib
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -807,6 +809,54 @@ def test_oversized_prime_in_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad config" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_config_too_large_fails_before_building(tmp_path, capsys):
+    # cons3 m=24 holds 25 * 2^24 cells per stripe; nothing may build it
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(CONFIG_53.replace("m=2", "m=24"))
+    write(tmp_path / "p.bin", b"payload")
+    out = tmp_path / "nodes"
+    for argv in (["encode", str(tmp_path / "p.bin"), "--config", str(cfg), "--out", str(out)],
+                 ["verify", "--config", str(cfg)], ["ratio", "--config", str(cfg)]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "bad config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def run_main(argv):
+    """The exit code of `cli.main(argv)` in this process; usage errors and
+    --help leave through SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_main_repeated_in_one_process(workdir, capsys, monkeypatch):
+    # The parser is built once per process.  Calls that share it, mixing
+    # subcommands, --help and usage errors, each print and exit as the same
+    # call does in a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")
+    nodes, cfg = str(workdir / "nodes"), str(workdir / "code.cfg")
+    calls = [["verify", "--config", cfg], ["scrub", "--help"], ["encode"], ["bogus"],
+             ["rebuild", nodes, "--node", "x"], ["scrub", nodes], ["--help"],
+             ["rebuild", nodes], ["verify", "--config", cfg], ["encode"], ["scrub", "--help"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    fresh = {}
+    capsys.readouterr()
+    for argv in calls:
+        code = run_main(argv)
+        got = capsys.readouterr()
+        if tuple(argv) not in fresh:
+            done = subprocess.run([sys.executable, "-m", "zzmds.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert (code, got.out, got.err) == fresh[tuple(argv)], argv
 
 
 PACKED_Q = (2, 3, 4, 5, 7, 9, 16, 251, 257, 65521)

@@ -466,7 +466,10 @@ def test_zigzag_lists_match_perm_unapply(spec):
 @given(data=st.data())
 def test_property_run_matches_cell_oracle(name, data):
     # The row kernel gives, for any columns, what the per-cell sums give:
-    # encode, syndrome, a rebuild and a decode gather, over T stripes.
+    # encode, syndrome, a rebuild gather and both gathers of a multi-node
+    # decode map, over T stripes.  The map's first gather reads the node
+    # columns with the erased ones None; its second reads the first's
+    # output, the surviving parities' syndromes.
     spec = built(name)
     plan, p, q = spec.plan, spec.p, spec.field.q
     count = data.draw(st.integers(0, 40), label="stripes")
@@ -478,7 +481,38 @@ def test_property_run_matches_cell_oracle(name, data):
     others = data.draw(st.lists(st.integers(0, spec.n - 1).filter(lambda c: c != lost),
                                 min_size=size, max_size=size, unique=True), label="others")
     pattern = tuple(sorted([lost, *others]))
-    maps = [plan.parity, plan._syndrome, [plan._target(node)[0]], plan._decoder(pattern)]
-    for gathers in maps:
-        got = plan.run(gathers, [as_column(q, col) for col in cols], count)
-        assert [list(col) for col in got] == oracles.run_by_cells(spec, gathers, cols, count)
+    survivors = [None if j in pattern else col for j, col in enumerate(cols)]
+    syndrome, solve = plan._decoder(pattern)
+    syndromes = oracles.run_by_cells(spec, syndrome, survivors, count)
+    maps = [(plan.parity, cols), (plan._syndrome, cols), ([plan._target(node)[0]], cols),
+            (syndrome, survivors), (solve, syndromes)]
+    for gathers, inputs in maps:
+        columns = [None if col is None else as_column(q, col) for col in inputs]
+        got = plan.run(gathers, columns, count)
+        assert [list(col) for col in got] == oracles.run_by_cells(spec, gathers, inputs, count)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_property_decode_matches_survivor_oracle(name, data):
+    # On columns that are no codeword, decode gives, bit for bit, what the
+    # survivor-cell decode gives, for every pattern of at most r erasures:
+    # one node through its access sets, several through the first
+    # independent parity equations, which the syndrome-first map solves too.
+    spec = built(name)
+    p, q = spec.p, spec.field.q
+    count = data.draw(st.integers(1, 3), label="stripes")
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    cols = [[rng.randrange(q) for _ in range(count * p)] for _ in range(spec.n)]
+    for e in range(1, spec.r + 1):
+        for pattern in combinations(range(spec.n), e):
+            survivors = [None if j in pattern else col for j, col in enumerate(cols)]
+            want = oracles.decode_by_survivors(spec, survivors, count, pattern)
+            got = [None if col is None else as_column(q, col) for col in survivors]
+            if want is None:
+                with pytest.raises(SingularMatrixError):
+                    spec.plan.decode(got, count, pattern)
+            else:
+                spec.plan.decode(got, count, pattern)
+                assert [list(col) for col in got] == want, pattern

@@ -91,3 +91,19 @@ def test_row_primitives_match_field(field):
         cs = [rng.randrange(q) for _ in range(count)]
         got = total([lift(as_column(q, r), c) for r, c in zip(rows, cs)], t)
         assert list(got) == (field_sum(rows, cs) if count else [0] * t)
+
+
+@pytest.mark.parametrize("scheme, kwargs, pattern, most", [
+    ("r3", dict(m=3), (0, 1, 2), 2187),
+    ("weightw", dict(family="weightw", m=6, w=3), (0, 1), 512),
+    ("cons3", dict(m=3), (0, 1), 64),
+])
+def test_decode_map_terms(scheme, kwargs, pattern, most):
+    # The benchmark's multi-node patterns: each erased cell reads only the
+    # syndrome cells of its own block, not every surviving cell, and the
+    # syndrome gather reads no erased column.
+    spec = build_code(scheme, **kwargs)
+    syndrome, solve = spec.plan._decoder(pattern)
+    assert sum(len(terms) for gather in solve for terms in gather) <= most
+    survivors = spec.k - len(pattern) + 1
+    assert all(len(terms) == survivors for gather in syndrome for terms in gather)

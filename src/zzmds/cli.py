@@ -19,11 +19,6 @@ from .plan import SingularMatrixError
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
 
-# A config's code holds p*k cells per stripe, and building it takes time and
-# memory in proportion.  Twice the largest code in the tests and README (cons4
-# m=10 s=6, 67,584 cells); cons3 m=24 would hold 419 million.
-MAX_CONFIG_CELLS = 2 ** 17
-
 
 class CliError(Exception):
     def __init__(self, message, code=3):
@@ -61,37 +56,11 @@ def parse_config(path: str):
         r = int(values["r"]) if "r" in values else None
         s = int(values.get("s", 1))
         w = int(values["w"]) if "w" in values else None
-        _check_size(scheme, family, m, r, s, w, vectors)
         spec = build_code(scheme, family=family, m=m, r=r, s=s, w=w, vectors=vectors,
                           field=field)
     except (CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad config: {e}") from None
     return spec
-
-
-def _check_size(scheme, family, m, r, s, w, vectors):
-    """Refuse a config whose code has more than MAX_CONFIG_CELLS cells per
-    stripe, p*k counted from its keys before anything is built.  Keys that
-    make no code are left for `build_code` to refuse."""
-    if family == "explicit" and vectors:
-        vectors = vectors.split(",")
-        m, size = len(vectors[0].strip()), len(vectors)
-    elif family == "standard" and m is not None:
-        size = m + 1
-    elif family == "weightw" and m is not None and w is not None and w >= 2 and m % w == 0:
-        r, size = 2, None
-    else:
-        return
-    if r is None:
-        r = 3 if scheme == "r3" else 2
-    if r < 2 or s < 1 or m < 1:
-        return
-    # r >= 2, so r^m is past the bound once m is past its bit length
-    if m < MAX_CONFIG_CELLS.bit_length():
-        cells = s * r ** m * (size or (m // w) ** w)
-        if cells <= MAX_CONFIG_CELLS:
-            return
-    raise CodeSpecError(f"code too large: more than {MAX_CONFIG_CELLS} cells per stripe")
 
 
 def _load_dir(directory):

@@ -38,6 +38,11 @@ SCHEMES = ("cons3", "cons4", "weightw", "r3", "table")
 # keep instances at desk scale.
 MAX_VERIFY_CELLS = 4096
 
+# Building a code takes time and memory in proportion to its p*k cells per
+# stripe.  Twice the largest code in the tests and README (cons4 m=10 s=6,
+# 67,584 cells); cons3 m=24 would hold 419 million.
+MAX_CODE_CELLS = 2 ** 17
+
 
 class CodeSpecError(ValueError):
     """Incompatible (scheme, family, field, duplication) combination."""
@@ -282,6 +287,9 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
         raise CodeSpecError(f"unknown scheme {scheme!r}")
     if r is None:
         r = 3 if scheme == "r3" else 2
+    # r^m rows alone past the bound: refuse before the family is built
+    if m is not None and r >= 2 and (m >= MAX_CODE_CELLS.bit_length() or r ** m > MAX_CODE_CELLS):
+        raise CodeSpecError(f"code too large: more than {MAX_CODE_CELLS} cells per stripe")
 
     try:
         if family == "standard":
@@ -307,6 +315,8 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
         raise
     except ValueError as e:
         raise CodeSpecError(str(e)) from None
+    if fam.p * fam.size * s > MAX_CODE_CELLS:
+        raise CodeSpecError(f"code too large: more than {MAX_CODE_CELLS} cells per stripe")
 
     if field is None:
         if scheme == "table":

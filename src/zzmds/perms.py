@@ -90,14 +90,6 @@ def unit_vector(m: int, r: int, position: int) -> RVector:
     return RVector(tuple(digits), r)
 
 
-def perm_apply(v: RVector, i: int, x: int) -> int:
-    """Row x shifted by i*v, digitwise mod r.  A bijection for each fixed (v, i)."""
-    if not 0 <= i < v.r:
-        raise ValueError(f"parity index {i} out of range for r={v.r}")
-    xd = to_digits(x, v.r, v.m)
-    return from_digits(((a + i * b) % v.r for a, b in zip(xd, v.digits)), v.r)
-
-
 def access_set(v: RVector, s: int, special_zero: bool = False):
     """Rows of a column rebuilt through parity s.
 
@@ -192,9 +184,6 @@ class VectorFamily:
 
     def access_set(self, idx: int, s: int):
         return access_set(self.vectors[idx], s, special_zero=self.is_zero(idx))
-
-    def apply(self, idx: int, i: int, x: int) -> int:
-        return perm_apply(self.vectors[idx], i, x)
 
 
 def make_family(vectors) -> VectorFamily:

@@ -69,8 +69,13 @@ def explicit_transfer(vd, ud, i, r, m, v_zero=False):
     return frozenset(shift(y, neg_u, i, r, m) for y in moved)
 
 
+def perm_apply(v, i, x):
+    """Row x moved by i*v, the zigzag permutation of parity i."""
+    return shift(x, v.digits, i, v.r, v.m)
+
+
 def perm_unapply(v, i, x):
-    """Row x moved back by i*v: the inverse of `perms.perm_apply`."""
+    """Row x moved back by i*v: the inverse of `perm_apply`."""
     return shift(x, v.digits, -i, v.r, v.m)
 
 

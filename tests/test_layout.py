@@ -8,9 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zzmds"
 
-# Entry points called from outside `src/`: the command line, and the row
-# permutation whose calls the benchmark's traced run counts and times.
-EXEMPT = {"cli.main", "perms.VectorFamily.apply"}
+# Entry points called from outside `src/`.
+EXEMPT = {"cli.main"}
 
 
 def definitions(module, tree):

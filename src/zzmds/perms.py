@@ -100,15 +100,28 @@ def access_set(v: RVector, s: int, special_zero: bool = False):
     """
     if not 0 <= s < v.r:
         raise ValueError(f"parity index {s} out of range for r={v.r}")
+    return access_sets(v, special_zero)[s]
+
+
+def access_sets(v: RVector, special_zero: bool = False) -> tuple:
+    """The access sets of v for parities 0..r-1, from one walk over the rows'
+    digits: the functional's value on every row, built digit by digit."""
+    r = v.r
     if v.is_zero:
         if not special_zero:
             raise ValueError("zero vector requires the special flag (all-ones access sets)")
-        ones = RVector((1,) * v.m, v.r)
-        return frozenset(x for x in range(v.r ** v.m) if ones.dot(x) == s)
-    if not v.admissible:
+        functional, sign = (1,) * v.m, 1
+    elif not v.admissible:
         raise ValueError(f"vector {v} is not admissible (digit gcd shares a factor with r)")
-    target = (-s) % v.r
-    return frozenset(x for x in range(v.r ** v.m) if v.dot(x) == target)
+    else:
+        functional, sign = v.digits, -1
+    dots = [0]
+    for d_v in functional:
+        dots = [a + d * d_v for a in dots for d in range(r)]
+    sets = [[] for _ in range(r)]
+    for x, dot in enumerate(dots):
+        sets[sign * dot % r].append(x)
+    return tuple(map(frozenset, sets))
 
 
 def pair_constant(v: RVector, u: RVector) -> int:

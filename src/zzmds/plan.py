@@ -14,7 +14,12 @@ term is the same in every stripe, so the kernel applies it once to the row
 vector of all stripes.  Encode, syndrome, rebuild (the decode of one node)
 and decode are all gather lists; they differ only in the cells they read and
 the coefficients they read them with.  `repair` is decode plus the check of
-the parity left over.
+the parity left over, and locates a corrupted column by trial decodes that
+the syndromes prune.  With nothing erased, syndrome 0 is nonzero exactly on
+a corrupted systematic column's bad rows, and every other syndrome only on
+the sets that its zigzag permutation maps them to, while a corrupted parity
+leaves only its own syndrome nonzero; so the syndromes' nonzero cells name
+the column.
 
 This is the library's interface to every operation, for any number of
 stripes (one stripe is T = 1).  Columns come from `files.zero_column` or
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import xor
+from operator import or_, xor
 from typing import NamedTuple
 
 from .files import as_column, symbol_width, zero_column
@@ -48,6 +53,9 @@ from .files import as_column, symbol_width, zero_column
 # entries).  Larger ones, which only explicit prime-field configs reach, read
 # the same rows computed on access instead.
 TABLE_MAX_Q = 256
+
+# Maps every nonzero byte to 1: a syndrome's bytes as lanes of 0/1.
+_NONZERO = bytes([0] + [1] * 255)
 
 
 class SingularMatrixError(ValueError):
@@ -243,7 +251,10 @@ class CodePlan:
         j whose decode with the erasures makes it consistent; two such answers
         would differ in at most e + 2 < r + 1 columns, so there is only one.
         Each candidate j is tried once, on the inconsistent stripes not yet
-        corrected, gathered into columns of their own.  Returns
+        corrected, gathered into columns of their own.  With nothing erased,
+        the syndromes first rule out every (j, stripe) pair whose trial could
+        not pass (`_explained`), so j is tried only on the stripes it could
+        explain, and not at all when there are none.  Returns
         ({stripe: corrected node}, the first uncorrectable stripe or None)."""
         erased = tuple(erased)
         e = len(erased)
@@ -251,38 +262,99 @@ class CodePlan:
         fixed = {}
         if e >= self.r:
             return fixed, None
-        bad = self._inconsistent(cols, nstripes)
-        candidates = [j for j in range(self.n) if j not in erased] if e + 2 <= self.r else []
-        for j in candidates:
+        syndromes = self.syndrome(cols, nstripes)
+        bad = self._inconsistent(syndromes, nstripes)
+        if not bad or e + 2 > self.r:
+            return fixed, (bad[0] if bad else None)
+        if not e:
+            explained = self._explained(syndromes, nstripes)
+        for j in range(self.n):
             if not bad:
                 break
-            nodes, count = erased + (j,), len(bad)
-            trial = [None if node in nodes else self._stripes(col, bad, nstripes)
+            if j in erased:
+                continue
+            tries = bad
+            if not e:
+                tries = [t for t in bad if explained[j][t]]
+                if not tries:
+                    continue
+            nodes, count = erased + (j,), len(tries)
+            trial = [None if node in nodes else self._stripes(col, tries, nstripes)
                      for node, col in enumerate(cols)]
             self.decode(trial, count, nodes)
-            still = set(self._inconsistent(trial, count))
-            for i, t in enumerate(bad):
+            still = set(self._inconsistent(self.syndrome(trial, count), count))
+            for i, t in enumerate(tries):
                 if i not in still:
                     for node in nodes:
                         cols[node][t::nstripes] = trial[node][i::count]
                     fixed[t] = j
-            bad = [t for i, t in enumerate(bad) if i in still]
+            bad = [t for t in bad if t not in fixed]
         return fixed, (bad[0] if bad else None)
 
-    def _inconsistent(self, cols, nstripes: int) -> list:
-        """The stripes of `cols` with a nonzero syndrome, in order.  Every row
-        extent of every syndrome is read as one big int and OR-ed into one,
-        whose lane t is nonzero exactly when stripe t is inconsistent."""
+    def _inconsistent(self, syndromes, nstripes: int) -> list:
+        """The stripes with a nonzero syndrome, in order.  Every row extent of
+        every syndrome is read as one big int and OR-ed into one, whose lane t
+        is nonzero exactly when stripe t is inconsistent."""
         width = symbol_width(self.field.q)
         size = nstripes * width
         acc = 0
-        for s in self.syndrome(cols, nstripes):
+        for s in syndromes:
             extents = memoryview(s).cast("B")
             for x in range(self.p):
                 acc |= int.from_bytes(extents[x * size:(x + 1) * size], "little")
         for _ in range(width - 1):
             acc |= acc >> 8       # a lane's high byte into its low byte
         return [t for t, v in enumerate(acc.to_bytes(size, "little")[::width]) if v]
+
+    def _lane_masks(self, syndromes, nstripes: int) -> list:
+        """masks[s][z]: syndrome s at set z of every stripe as one int whose
+        lane t (a symbol's bytes) is 1 when that cell of stripe t is nonzero
+        and 0 when it is zero."""
+        width = symbol_width(self.field.q)
+        size = nstripes * width
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * nstripes, "little")
+        masks = []
+        for s in syndromes:
+            flat = bytes(s).translate(_NONZERO)
+            rows = []
+            for z in range(self.p):
+                v = int.from_bytes(flat[z * size:(z + 1) * size], "little")
+                for i in range(1, width):
+                    v |= v >> 8 * i
+                rows.append(v & ones)
+            masks.append(rows)
+        return masks
+
+    def _explained(self, syndromes, nstripes: int) -> list:
+        """Per node, one byte per stripe, nonzero on the inconsistent stripes
+        whose syndromes (nothing erased) it could explain as its one
+        corrupted column; a trial of the node on any other stripe cannot
+        pass.  The tests below are big-int operations on `_lane_masks`.
+
+        An error E in systematic column j leaves syndrome 0 equal to E (its
+        coefficients are 1), and syndrome s >= 1 at set z equal to c * E[y],
+        for the row y of j that feeds set z with coefficient c.  So j
+        explains stripe t only if, in lane t, masks[s][z] equals masks[0][y]
+        for every s >= 1 and z.  Where c is zero (`build_code` makes none)
+        only the subset is required, so that no coefficient rules out the
+        culprit.  Parity k + s explains stripe t only if every other
+        syndrome is zero there."""
+        masks = self._lane_masks(syndromes, nstripes)
+        anywhere = [reduce(or_, rows) for rows in masks]
+        inconsistent, syndrome0 = reduce(or_, anywhere), masks[0]
+        ruled_out = []
+        for j in range(self.k):
+            acc = 0
+            for sidx in range(1, self.r):
+                for mask, members in zip(masks[sidx], self.parity[sidx]):
+                    _, y, c = members[j]
+                    acc |= mask ^ syndrome0[y] if c else mask & ~syndrome0[y]
+            ruled_out.append(acc)
+        for sidx in range(self.r):
+            ruled_out.append(reduce(or_, anywhere[:sidx] + anywhere[sidx + 1:]))
+        width = symbol_width(self.field.q)
+        return [(inconsistent & ~acc).to_bytes(nstripes * width, "little")[::width]
+                for acc in ruled_out]
 
     def _stripes(self, col, stripes, nstripes: int):
         """The column of the given stripes of `col`, a column of nstripes."""

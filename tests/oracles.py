@@ -326,6 +326,53 @@ def decode_by_survivors(spec, cols, nstripes, pattern):
     return cols
 
 
+def inconsistent_stripes(spec, cols, nstripes):
+    """The stripes of row-major symbol columns whose stored parities differ
+    from their parities by definition, in order."""
+    p, k = spec.p, spec.k
+    out = []
+    for t in range(nstripes):
+        info = [[cols[col][row * nstripes + t] for col in range(k)] for row in range(p)]
+        if any(parity_by_definition(spec, info, sidx)
+               != [cols[k + sidx][z * nstripes + t] for z in range(p)]
+               for sidx in range(spec.r)):
+            out.append(t)
+    return out
+
+
+def repair_by_trials(spec, cols, nstripes, erased=()):
+    """`CodePlan.repair` by trying every candidate.  The erasures are decoded,
+    then, while e + 2 <= r, each surviving node j in node order is decoded
+    with them on every stripe still inconsistent, and each stripe that comes
+    out consistent takes j's answer.  Columns are row-major symbol lists of
+    T = nstripes stripes, erased nodes None.  Returns (the columns,
+    {stripe: corrected node}, the first uncorrectable stripe or None)."""
+    erased = tuple(erased)
+    p, e = spec.p, len(erased)
+    cols = decode_by_survivors(spec, [col and list(col) for col in cols], nstripes, erased)
+    fixed = {}
+    if e >= spec.r:
+        return cols, fixed, None
+    bad = inconsistent_stripes(spec, cols, nstripes)
+    candidates = [j for j in range(spec.n) if j not in erased] if e + 2 <= spec.r else []
+    for j in candidates:
+        if not bad:
+            break
+        nodes = erased + (j,)
+        trial = decode_by_survivors(
+            spec, [None if node in nodes else col for node, col in enumerate(cols)],
+            nstripes, nodes)
+        still = inconsistent_stripes(spec, trial, nstripes)
+        for t in bad:
+            if t not in still:
+                fixed[t] = j
+                for node in nodes:
+                    for row in range(p):
+                        cols[node][row * nstripes + t] = trial[node][row * nstripes + t]
+        bad = [t for t in bad if t in still]
+    return cols, fixed, (bad[0] if bad else None)
+
+
 def decodable(spec, pattern):
     """Whether an erasure pattern decodes, by exhaustive search: it does
     unless some nonzero assignment of its erased information cells, every

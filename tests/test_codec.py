@@ -452,6 +452,48 @@ def test_property_plan_runs_stripes_at_once(name, data):
         assert cols == joined(stripes)
 
 
+@pytest.mark.parametrize("name", sorted(SPECS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_property_repair_matches_trials(name, data):
+    # `repair` skips only the trials that cannot pass: its result and every
+    # column equal those of trying each candidate on every stripe still bad.
+    # One column is corrupted in some stripes (one cell, several cells or
+    # all of them), or two columns in one stripe; on r = 3, the one column
+    # can be corrupted next to an erasure.
+    spec = built(name)
+    p, f, n = spec.p, spec.field, spec.n
+    count = data.draw(st.integers(1, 4), label="stripes")
+    stripes = [drawn_stripe(data, spec) for _ in range(count)]
+    cols = [[stripe[node][x] for x in range(p) for stripe in stripes] for node in range(n)]
+    case = data.draw(st.sampled_from(["one", "two"] + ["erased"] * (spec.r == 3)), label="case")
+    erased = [data.draw(st.integers(0, n - 1), label="erased")] if case == "erased" else []
+    survivors = [node for node in range(n) if node not in erased]
+    if case == "two":
+        t = data.draw(st.integers(0, count - 1), label="stripe")
+        hits = [(node, t) for node in data.draw(
+            st.lists(st.sampled_from(survivors), min_size=2, max_size=2, unique=True),
+            label="nodes")]
+    else:
+        node = data.draw(st.sampled_from(survivors), label="node")
+        hits = [(node, t) for t in data.draw(
+            st.lists(st.integers(0, count - 1), min_size=1, unique=True), label="stripes hit")]
+    for node, t in hits:
+        rows_hit = data.draw(st.one_of(
+            st.lists(st.integers(0, p - 1), min_size=1, max_size=1),
+            st.lists(st.integers(0, p - 1), min_size=2, unique=True),
+            st.just(range(p))), label="rows")
+        for x in rows_hit:
+            cell = x * count + t
+            cols[node][cell] = f.add(cols[node][cell],
+                                     data.draw(st.integers(1, f.q - 1), label="delta"))
+    lost = [None if node in erased else col for node, col in enumerate(cols)]
+    want_cols, want_fixed, want_left = oracles.repair_by_trials(spec, lost, count, erased)
+    got = [col and as_column(f.q, col) for col in lost]
+    assert spec.plan.repair(got, count, erased) == (want_fixed, want_left)
+    assert lists(got) == want_cols
+
+
 def test_zigzag_lists_match_perm_unapply(spec):
     zigzags = spec.plan._zigzags
     assert len(zigzags) == len(spec.family.vectors)

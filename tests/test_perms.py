@@ -1,7 +1,9 @@
 import pytest
 
 import oracles
+from test_codec import SPECS
 from zzmds import perms
+from zzmds.construct import build_code
 from zzmds.perms import (RVector, access_set, access_union, make_family, parse_vector_list,
                          standard_basis_family, to_digits, weight_w_family)
 
@@ -90,6 +92,31 @@ def test_access_set_sizes_and_partition():
         sets = [access_set(zero, s, special_zero=True) for s in range(r)]
         assert all(len(x) == r ** (m - 1) for x in sets)
         assert set().union(*sets) == set(range(r ** m))
+
+
+def test_access_sets_match_explicit_construction():
+    for r, m in ((2, 1), (2, 3), (3, 2), (3, 3), (5, 2)):
+        for v in all_nonzero_vectors(m, r):
+            assert perms.access_sets(v) == tuple(
+                oracles.explicit_access_set(v.digits, s, r, m) for s in range(r))
+        zero = RVector((0,) * m, r)
+        assert perms.access_sets(zero, special_zero=True) == tuple(
+            oracles.explicit_access_set(zero.digits, s, r, m, zero_special=True)
+            for s in range(r))
+
+
+@pytest.mark.parametrize("make", [*(SPECS[name] for name in sorted(SPECS)),
+                                  lambda: build_code("r3", m=3),
+                                  lambda: build_code("weightw", family="weightw", m=6, w=3)],
+                         ids=[*sorted(SPECS), "r3-m3", "weightw-m6"])
+def test_access_rows_match_explicit_sets(make):
+    spec = make()
+    for col in range(spec.k):
+        idx = spec.family_index(col)
+        digits, zero = spec.family.vectors[idx].digits, spec.family.is_zero(idx)
+        for sidx in range(spec.r):
+            assert spec.access_rows(col, sidx) == oracles.explicit_access_set(
+                digits, sidx, spec.r, spec.m, zero_special=zero)
 
 
 def test_inadmissible_vector_rejected():

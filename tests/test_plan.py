@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from zzmds import gf
 from zzmds.construct import build_code
-from zzmds.plan import TABLE_MAX_Q, as_column
+from zzmds.plan import TABLE_MAX_Q, CodePlan, as_column
 
 
 def tabulated_fields():
@@ -107,3 +108,43 @@ def test_decode_map_terms(scheme, kwargs, pattern, most):
     assert sum(len(terms) for gather in solve for terms in gather) <= most
     survivors = spec.k - len(pattern) + 1
     assert all(len(terms) == survivors for gather in syndrome for terms in gather)
+
+
+@pytest.mark.parametrize("scheme, kwargs", [
+    ("cons3", dict(m=3)),
+    ("r3", dict(m=3)),
+    ("weightw", dict(family="weightw", m=6, w=3)),
+])
+def test_repair_tries_only_the_located_column(monkeypatch, scheme, kwargs):
+    # The syndromes name a corrupted cell's column: whatever its index,
+    # `repair` builds one rebuild gather and runs one trial decode (after the
+    # decode of the erasures, here none).  A clean repair computes the syndrome
+    # once and builds no lane masks.
+    calls = Counter()
+    for name in ("_build_target", "decode", "syndrome", "_lane_masks"):
+        def counted(self, *args, _name=name, _method=getattr(CodePlan, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(CodePlan, name, counted)
+    spec = build_code(scheme, **kwargs)
+    plan, p, q, count = spec.plan, spec.p, spec.field.q, 3
+    rng = random.Random(7)
+    info = [as_column(q, [rng.randrange(q) for _ in range(p * count)]) for _ in range(spec.k)]
+    stripe = info + plan.encode(info, count)
+
+    cols = [col[:] for col in stripe]
+    calls.clear()
+    assert plan.repair(cols, count) == ({}, None)
+    assert calls == {"decode": 1, "syndrome": 1}
+
+    for j in range(spec.k):
+        plan._targets.clear()
+        plan._decoders.clear()
+        cols = [col[:] for col in stripe]
+        cell = rng.randrange(p) * count + 1
+        cols[j][cell] = spec.field.add(cols[j][cell], 1)
+        calls.clear()
+        assert plan.repair(cols, count) == ({1: j}, None)
+        assert cols == stripe
+        assert (calls["_build_target"], calls["decode"]) == (1, 2)
+        assert calls["_lane_masks"] == 1

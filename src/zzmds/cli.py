@@ -11,7 +11,7 @@ import os
 import sys
 from functools import cache
 
-from . import analysis, files
+from . import files
 from .construct import CodeSpecError, build_code, verify_mds
 from .gf import FieldError, field_from_token
 from .files import zero_column
@@ -293,6 +293,7 @@ def cmd_verify(args):
 
 
 def cmd_ratio(args):
+    from . import analysis   # only this command needs it; the others skip compiling it
     spec = parse_config(args.config)
     report = analysis.ratio_report(spec)
     print(f"code: {spec!r}")

@@ -31,12 +31,14 @@ reader, `files.read_columns`, does), and `decode` and `repair` fill in
 A decode of several nodes runs syndrome first.  With the erased columns
 read as zero, the syndrome cell of each surviving zigzag set is the known
 part of that set's equation, so the erased cells are combinations of
-syndrome cells alone.  The one Gauss-Jordan elimination here solves the
-pattern's equations in its erased cells, on the same tables.  Its pivot
-rows, read over the syndrome cells, are the pattern's decode map, and their
-number is the rank `verify_mds` checks.  The zigzag sets split the erased
-cells into independent blocks, and each cell reads only its own block's
-syndrome cells (27 per cell for three lost columns of r3 m=3).
+syndrome cells alone.  The one sparse elimination here, forward only,
+brings the pattern's equations in its erased cells to triangular form, on
+the same tables; the number of pivot rows is the rank `verify_mds` checks.
+The pattern's decode map is these pivot rows as a back-substitution: each
+erased cell reads syndrome cells and the later erased cells, which the
+kernel has solved first.  The zigzag sets split the erased cells into
+independent blocks, and each cell reads only its own block's cells (687
+terms per stripe for three lost columns of r3 m=3).
 """
 
 from __future__ import annotations
@@ -194,15 +196,18 @@ class CodePlan:
         """Apply one gather list per output column to every stripe of the node
         columns `cols`; returns the output columns.  Each term is applied
         once, to its row vector of all stripes.  Only the cells the terms
-        name are read, so lost nodes may be None in `cols`."""
+        name are read, so lost nodes may be None in `cols`.  A term's node
+        len(cols) + i names output i of this call.  The outputs are filled
+        last first, each from its last row up, so such a term may read a row
+        of a later output or a later row of its own, which is already
+        computed."""
         t, lift, total = nstripes, self._lift, self._total
-        outs = []
-        for gather in gathers:
-            out = zero_column(self.field.q, t * self.p)
-            for x, terms in enumerate(gather):
+        outs = [zero_column(self.field.q, t * self.p) for _ in gathers]
+        src = [*cols, *outs]
+        for gather, out in zip(reversed(gathers), reversed(outs)):
+            for x in reversed(range(len(gather))):
                 out[x * t:(x + 1) * t] = total(
-                    [lift(cols[node][row * t:(row + 1) * t], c) for node, row, c in terms], t)
-            outs.append(out)
+                    [lift(src[node][row * t:(row + 1) * t], c) for node, row, c in gather[x]], t)
         return outs
 
     # -- operations -----------------------------------------------------------
@@ -224,10 +229,10 @@ class CodePlan:
         the surviving columns.
 
         Erased systematic columns come from the pattern's decode map, a chain
-        of gather lists that each read the previous one's output, the first
-        reading `cols`.  Erased parities are then encoded again.  Raises
-        SingularMatrixError when the surviving columns do not determine the
-        erased ones.
+        of gather lists that each read the previous one's output (and the
+        last, its own solved rows), the first reading `cols`.  Erased
+        parities are then encoded again.  Raises SingularMatrixError when
+        the surviving columns do not determine the erased ones.
         """
         erased = tuple(sorted(erased))
         lost = [c for c in erased if c < self.k]
@@ -460,36 +465,29 @@ class CodePlan:
         return rows, unknowns
 
     def _eliminate(self, rows, unknowns: int) -> dict:
-        """Gauss-Jordan on sparse rows, pivoting only on the unknown columns
-        [0, unknowns); the rows are consumed.  Returns {unknown: pivot row}:
-        its own coefficient 1, no other pivot's unknown.  A row left with no
-        unknown is dropped, so the rank is the number of pivots."""
+        """Forward elimination on sparse rows, pivoting only on the unknown
+        columns [0, unknowns); the rows are consumed.  Each row in turn has
+        its first unknown cleared by that unknown's pivot row, until its
+        first unknown has none and the row, scaled, becomes it.  Returns
+        {unknown: pivot row}: its own coefficient 1 and, of the other
+        unknowns, only later ones.  A row left with no unknown is dropped, so
+        the rank is the number of pivots."""
         add, mul, neg = self.add, self.mul, self.neg
-
-        def subtract(row, f, pivot):
-            """row -= f * pivot, which clears the pivot's unknown from row."""
-            mrow = mul[neg[f]]
-            for col, c in pivot.items():
-                v = add[row.get(col, 0)][mrow[c]]
-                if v:
-                    row[col] = v
-                else:
-                    del row[col]
-
         pivots = {}
         for row in rows:
-            for u in [u for u in row if u in pivots]:
-                subtract(row, row[u], pivots[u])
-            free = [u for u in row if u < unknowns]
-            if not free:
-                continue
-            u = min(free)
-            scale = mul[self.field.inv(row[u])]
-            row = {col: scale[c] for col, c in row.items()}
-            for prow in pivots.values():
-                if u in prow:
-                    subtract(prow, prow[u], row)
-            pivots[u] = row
+            while free := [u for u in row if u < unknowns]:
+                u = min(free)
+                if u not in pivots:
+                    scale = mul[self.field.inv(row[u])]
+                    pivots[u] = {col: scale[c] for col, c in row.items()}
+                    break
+                mrow = mul[neg[row[u]]]
+                for col, c in pivots[u].items():      # row -= row[u] * pivot
+                    v = add[row.get(col, 0)][mrow[c]]
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
         return pivots
 
     def decodable(self, erased) -> bool:
@@ -503,10 +501,12 @@ class CodePlan:
         give its erased systematic columns.  One node is read through its
         rebuild gather alone.  Otherwise the map is two gathers.  The first
         computes the surviving parities' syndromes with the erased columns
-        read as zero.  In the second, each unknown u's pivot row reads
-        u + sum(c * syndrome cell) = 0, so u = sum(-c * syndrome cell).  The
-        zigzag sets split the unknowns into independent blocks, so each
-        unknown reads only its own block's syndrome cells."""
+        read as zero.  The second is a back-substitution: each unknown u's
+        pivot row reads u + sum(c * later unknown) + sum(c * syndrome cell)
+        = 0, so u's terms are the negated coefficients, read off the
+        syndromes and off the output rows of later unknowns, which `run`
+        fills first.  The zigzag sets split the unknowns into independent
+        blocks, so each unknown reads only its own block's cells."""
         if len(erased) == 1:
             return [[self._target(erased[0])[0]]]
         p, neg = self.p, self.neg
@@ -514,9 +514,12 @@ class CodePlan:
         pivots = self._eliminate(rows, unknowns)
         if len(pivots) < unknowns:
             raise SingularMatrixError(f"erasure pattern {list(erased)} is not decodable")
-        solve = [[(*divmod(col - unknowns, p), neg[c])
-                  for col, c in sorted(pivots[u].items()) if col != u]
-                 for u in range(unknowns)]
         syndrome = [[[term for term in terms if term[0] not in erased] for terms in gather]
                     for sidx, gather in enumerate(self._syndrome) if self.k + sidx not in erased]
+        # known column unknowns + a*p + z is input a, row z; unknown v is
+        # row v % p of output v // p, which follows the inputs
+        inputs = len(syndrome) * p
+        solve = [[(*divmod(col - unknowns if col >= unknowns else inputs + col, p), neg[c])
+                  for col, c in sorted(pivots[u].items()) if col != u]
+                 for u in range(unknowns)]
         return [syndrome, [solve[i:i + p] for i in range(0, unknowns, p)]]

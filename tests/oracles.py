@@ -196,19 +196,20 @@ def parity_by_definition(spec, info, sidx):
 def run_by_cells(spec, gathers, cols, nstripes):
     """`CodePlan.run` one stripe and one cell at a time, over the structural
     field: output row x of stripe t is the sum of c * cols[node][row*T + t]
-    over the (node, row, c) terms of gather entry x, with T = nstripes.
+    over the (node, row, c) terms of gather entry x, with T = nstripes.  A
+    node past the end of `cols` is an output of the same call, read as far
+    as it is filled: outputs last first, each from its last row up.
     Columns are row-major symbol lists."""
     p, f = spec.p, spec.field
-    outs = []
-    for gather in gathers:
-        out = [0] * (nstripes * p)
-        for t in range(nstripes):
-            for x, terms in enumerate(gather):
+    outs = [[0] * (nstripes * p) for _ in gathers]
+    src = list(cols) + outs
+    for gather, out in zip(reversed(gathers), reversed(outs)):
+        for x in reversed(range(len(gather))):
+            for t in range(nstripes):
                 acc = 0
-                for node, row, c in terms:
-                    acc = f.add(acc, f.mul(c, cols[node][row * nstripes + t]))
+                for node, row, c in gather[x]:
+                    acc = f.add(acc, f.mul(c, src[node][row * nstripes + t]))
                 out[x * nstripes + t] = acc
-        outs.append(out)
     return outs
 
 

@@ -511,7 +511,8 @@ def test_property_run_matches_cell_oracle(name, data):
     # encode, syndrome, a rebuild gather and both gathers of a multi-node
     # decode map, over T stripes.  The map's first gather reads the node
     # columns with the erased ones None; its second reads the first's
-    # output, the surviving parities' syndromes.
+    # output, the surviving parities' syndromes, and the rows of its own
+    # output that it has already solved.
     spec = built(name)
     plan, p, q = spec.plan, spec.p, spec.field.q
     count = data.draw(st.integers(0, 40), label="stripes")

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from zzmds import gf
 from zzmds.construct import build_code
 from zzmds.plan import TABLE_MAX_Q, CodePlan, as_column
@@ -32,12 +33,33 @@ def test_sparse_rank_and_overdetermined():
     f5 = gf.field_create("prime", 5)
     plan = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,)).plan
     eqs = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 2, 1: 2}]
-    # full rank in three unknowns; the fourth row is twice the first
-    assert plan._eliminate(eqs, 3) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    # full rank in three unknowns, forward elimination only: each row keeps
+    # the later unknowns it was left with, and the fourth row, twice the
+    # first, is dropped
+    pivots = plan._eliminate(eqs, 3)
+    assert pivots == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}
+    # each pivot row: its own unknown with coefficient 1, no earlier one
+    assert all(row[u] == 1 and min(row) == u for u, row in pivots.items())
     # column 1 is known: pivots stay on column 0, a row left with only
     # known columns is dropped, and the pivot row reads u0 = -2 * s1
     assert plan._eliminate([{0: 3, 1: 1}, {0: 1, 1: 2}], 1) == {0: {0: 1, 1: 2}}
     assert plan._eliminate([{0: 1, 1: 1}, {0: 2, 1: 2}], 2) == {0: {0: 1, 1: 1}}
+
+
+def test_run_reads_rows_it_has_filled():
+    # Outputs are filled last first, each from its last row up: output 1
+    # first, then output 0's row 1, then its row 0, which reads both.  Node
+    # 0 is the one input column; nodes 1 and 2 are outputs 0 and 1.
+    f5 = gf.field_create("prime", 5)
+    spec = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,))
+    gathers = [[[(1, 1, 1), (2, 1, 2)], [(0, 0, 2)]],
+               [[(0, 0, 1)], [(0, 1, 3)]]]
+    col = [1, 4, 2, 3]        # row 0, then row 1, of two stripes
+    # output 1: row 0 = col row 0, row 1 = 3 * col row 1; output 0: row 1 =
+    # 2 * col row 0, row 0 = its own row 1 + 2 * output 1's row 1
+    want = [[4, 1, 2, 3], [1, 4, 1, 4]]
+    assert oracles.run_by_cells(spec, gathers, [col], 2) == want
+    assert [list(out) for out in spec.plan.run(gathers, [as_column(5, col)], 2)] == want
 
 
 def row_primitives(field):
@@ -95,19 +117,25 @@ def test_row_primitives_match_field(field):
 
 
 @pytest.mark.parametrize("scheme, kwargs, pattern, most", [
-    ("r3", dict(m=3), (0, 1, 2), 2187),
-    ("weightw", dict(family="weightw", m=6, w=3), (0, 1), 512),
-    ("cons3", dict(m=3), (0, 1), 64),
+    ("r3", dict(m=3), (0, 1, 2), 687),
+    ("weightw", dict(family="weightw", m=6, w=3), (0, 1), 352),
+    ("cons3", dict(m=3), (0, 1), 44),
+    ("r3", dict(m=3), (1, 2, 3), 747),
 ])
 def test_decode_map_terms(scheme, kwargs, pattern, most):
     # The benchmark's multi-node patterns: each erased cell reads only the
-    # syndrome cells of its own block, not every surviving cell, and the
-    # syndrome gather reads no erased column.
+    # syndrome cells and later erased cells of its own block, not every
+    # surviving cell, and the syndrome gather reads no erased column.
     spec = build_code(scheme, **kwargs)
     syndrome, solve = spec.plan._decoder(pattern)
     assert sum(len(terms) for gather in solve for terms in gather) <= most
     survivors = spec.k - len(pattern) + 1
     assert all(len(terms) == survivors for gather in syndrome for terms in gather)
+    for i, gather in enumerate(solve):
+        for x, terms in enumerate(gather):
+            solved = [(node - len(syndrome), row) for node, row, _ in terms
+                      if node >= len(syndrome)]
+            assert all(later > (i, x) for later in solved)
 
 
 @pytest.mark.parametrize("scheme, kwargs", [

@@ -12,7 +12,8 @@ import sys
 from functools import cache
 
 from . import files
-from .construct import CodeSpecError, build_code, verify_mds
+from .construct import (MAX_VERIFY_CELLS, CodeSpecError, block_width, build_code,
+                        default_field, verify_mds)
 from .gf import FieldError, field_from_token
 from .files import zero_column
 from .plan import SingularMatrixError
@@ -26,7 +27,8 @@ class CliError(Exception):
         self.code = code
 
 
-def parse_config(path: str):
+def _config_values(path: str) -> dict:
+    """The key=value pairs of a config file."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -43,7 +45,11 @@ def parse_config(path: str):
                 values[key] = value
     except OSError as e:
         raise CliError(f"cannot read config: {e}") from None
+    return values
 
+
+def _config_spec(values: dict):
+    """The code a config's values describe."""
     scheme = values.get("scheme")
     if not scheme:
         raise CliError("config needs scheme=")
@@ -61,6 +67,10 @@ def parse_config(path: str):
     except (CodeSpecError, FieldError, ValueError) as e:
         raise CliError(f"bad config: {e}") from None
     return spec
+
+
+def parse_config(path: str):
+    return _config_spec(_config_values(path))
 
 
 def _load_dir(directory):
@@ -118,8 +128,25 @@ def _fraction_str(fr):
     return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
 
 
+def _proven(spec, values: dict) -> bool:
+    """Whether a config stays in its construction's proven setting, where
+    the code is MDS by the paper: a family the scheme builds itself, over
+    the scheme's default field."""
+    return values.get("family") != "explicit" and (
+        "field" not in values or spec.field == default_field(
+            spec.scheme, s=spec.s, m=spec.m, w=block_width(spec.family)))
+
+
 def cmd_encode(args):
-    spec = parse_config(args.config)
+    values = _config_values(args.config)
+    spec = _config_spec(values)
+    # Outside the proven setting, refuse a code that `verify` shows is not
+    # MDS; one too large to check is encoded unchecked.
+    if not _proven(spec, values) and spec.p * spec.k <= MAX_VERIFY_CELLS:
+        report = verify_mds(spec)
+        if not report.is_mds:
+            raise CliError(f"code is not MDS: erasure pattern {list(report.failing_pattern)} "
+                           f"is not decodable")
     try:
         with open(args.input, "rb") as fh:
             data = fh.read()

@@ -19,18 +19,25 @@ Schemes (the tags are also the config-file tokens):
   table    caller-supplied coefficient table.
 
 The first parity (index 0) always uses unit coefficients.
+
+A command builds its code once, from its config or manifest: the vector
+family, the field and the coefficient table.  Each scheme computes its
+table in bulk: the rows' digits are big ints with one byte lane per row,
+and the parities and dot products that pick a coefficient are XORs, shifts
+and sums of those ints, so each column of the table is one lookup per row.
+`build_code` then scans each row of the table once for a zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from .gf import Field, field_create, gf9, is_prime
-from .perms import (VectorFamily, make_family, standard_basis_family, to_digits,
-                    unit_vector, weight_w_family)
+from .perms import (VectorFamily, make_family, standard_basis_family, unit_vector,
+                    weight_w_family)
 
 SCHEMES = ("cons3", "cons4", "weightw", "r3", "table")
 
@@ -87,17 +94,10 @@ class CodeSpec:
     def n(self) -> int:
         return self.k + self.r
 
-    def family_index(self, col: int) -> int:
-        return col // self.s
-
     def coefficient(self, row: int, col: int, sidx: int) -> int:
         if sidx == 0:
             return 1
         return self.coeffs[sidx - 1][row][col]
-
-    def access_rows(self, col: int, sidx: int):
-        """Rows of col that a single-column rebuild recovers through parity sidx."""
-        return self.family.access_set(self.family_index(col), sidx)
 
     @cached_property
     def plan(self):
@@ -160,79 +160,72 @@ def default_field(scheme: str, s: int = 1, m: int = None, w: int = None) -> Fiel
     raise CodeSpecError(f"no default field for scheme {scheme!r}")
 
 
-def _prefix_vectors(family: VectorFamily):
-    """Running digit-wise sums u_j of the family vectors (mod r)."""
-    r = family.r
-    acc = [0] * family.m
-    out = []
-    for v in family.vectors:
-        acc = [(a + b) % r for a, b in zip(acc, v.digits)]
-        out.append(tuple(acc))
-    return out
+def _digit_columns(r: int, m: int) -> list:
+    """columns[i]: digit i of every row x in [0, r^m), one byte lane per row
+    of a big int: a run of r^(m-1-i) of each digit value, the whole repeated
+    r^i times.  The schemes' radix is 2 or 3, so sums of a few scaled
+    columns stay inside their lanes."""
+    return [int.from_bytes(b"".join(bytes([d]) * r ** (m - 1 - i) for d in range(r)) * r ** i,
+                           "little") for i in range(m)]
 
 
 def _build_cons4(family, field, s):
-    p = family.p
+    """Coefficient of copy t of vector j at a row: a^t or a^(t+1) (odd q),
+    a^(t+1) or a^(-t-1) (even q), as the row's digits against the sum of
+    vectors 0..j have even or odd parity.  That parity, in every row at
+    once, is the previous vector's XOR the digit columns of vector j's ones."""
     a = field.primitive
     even_q = field.char == 2
-    prefixes = _prefix_vectors(family)
-    table = [[0] * (family.size * s) for _ in range(p)]
-    for row in range(p):
-        rd = to_digits(row, 2, family.m)
-        for j in range(family.size):
-            hit = sum(x * y for x, y in zip(rd, prefixes[j])) % 2
-            for t in range(s):
-                if even_q:
-                    e = -t - 1 if hit else t + 1
-                else:
-                    e = t + 1 if hit else t
-                table[row][j * s + t] = field.pow(a, e)
-    return (tuple(tuple(r) for r in table),)
+    digits = _digit_columns(2, family.m)
+    hits, columns = 0, []
+    for v in family.vectors:
+        for column, d in zip(digits, v.digits):
+            if d:
+                hits ^= column
+        lanes = hits.to_bytes(family.p, "little")
+        for t in range(s):
+            e = (t + 1, -t - 1) if even_q else (t, t + 1)
+            values = field.pow(a, e[0]), field.pow(a, e[1])
+            columns.append([values[h] for h in lanes])
+    return (tuple(zip(*columns)),)
 
 
 def _build_weightw(family, field, s):
     """Coefficient a^e of (row, vector): bit b of e, most significant first,
     is the parity of the row's digits from the start of block b through the
-    vector's 1 in that block."""
-    w = block_width(family)
-    block, exp, order = family.m // w, field.exp, field.q - 1
-    ones = [[pos - 1 for pos in v.support()] for v in family.vectors]
-    table = []
-    for digits in product(range(2), repeat=family.m):
-        # parities[i]: the parity of the digits from i's block start through i
-        parities, acc = [], 0
-        for i, d in enumerate(digits):
-            acc = d if i % block == 0 else acc ^ d
-            parities.append(acc)
-        row = []
-        for positions in ones:
-            e = 0
-            for i in positions:
-                e = 2 * e + parities[i]
-            row.append(exp[e % order])
-        table.append(tuple(row))
-    return (tuple(table),)
+    vector's 1 in that block.  Those parities, in every row at once, are
+    running XORs of the digit columns, each shifted to its block's bit, so
+    a vector's e is the sum of its ones' columns."""
+    w = family.vectors[0].weight      # `_validate_scheme` checked the blocks
+    block = family.m // w
+    scaled = []
+    for i, column in enumerate(_digit_columns(2, family.m)):
+        parities = column if i % block == 0 else parities ^ column
+        scaled.append(parities << w - 1 - i // block)
+    powers = (field.exp * (2 ** w // (field.q - 1) + 1))[:2 ** w]   # a^(e mod q-1)
+    columns = [[powers[e] for e in sum(scaled[pos - 1] for pos in v.support()).to_bytes(
+        family.p, "little")] for v in family.vectors]
+    return (tuple(zip(*columns)),)
 
 
 def _build_r3(family, field, s):
     """Coefficient a^(l*c) of (row, vector l) in parity sidx: c counts the
     steps i < sidx of the orbit row + i*v with v.(row + i*v) = 0, where
-    v.(row + i*v) = v.row + i*(v.v)."""
+    v.(row + i*v) = v.row + i*(v.v).  So c depends on the row only through
+    v.row mod r, which the digit columns give for every row at once."""
     r, exp, order = family.r, field.exp, field.q - 1
-    terms = [[(i, d) for i, d in enumerate(v.digits) if d] for v in family.vectors]
-    steps = [v.dot_vec(v) for v in family.vectors]
-    tables = ([], [])
-    for digits in product(range(r), repeat=family.m):
-        rows = ([], [])
-        for l, (nonzero, step) in enumerate(zip(terms, steps)):
-            dot = sum(d * digits[i] for i, d in nonzero) % r
-            hits = 0
-            for i, row in enumerate(rows):     # parity i + 1 adds orbit step i
-                hits += (dot + i * step) % r == 0
-                row.append(exp[l * hits % order])
-        for table, row in zip(tables, rows):
-            table.append(tuple(row))
-    return tuple(tuple(table) for table in tables)
+    digits = _digit_columns(r, family.m)
+    residues = (bytes(range(r)) * (256 // r + 1))[:256]
+    tables = [[] for _ in range(r - 1)]
+    for l, v in enumerate(family.vectors):
+        dots = sum(d * column for column, d in zip(digits, v.digits)).to_bytes(
+            family.p, "little").translate(residues)
+        step, hits = v.dot_vec(v), [0] * r
+        for i, table in enumerate(tables):     # parity i + 1 adds orbit step i
+            hits = [h + ((dot + i * step) % r == 0) for dot, h in enumerate(hits)]
+            values = [exp[l * h % order] for h in hits]
+            table.append([values[dot] for dot in dots])
+    return tuple(tuple(zip(*table)) for table in tables)
 
 
 _BUILDERS = {"cons3": _build_cons4, "cons4": _build_cons4,
@@ -347,14 +340,12 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
     else:
         coeffs = _BUILDERS[scheme](fam, field, s)
 
-    spec = CodeSpec(fam, field, scheme, s, coeffs)
-    for sidx in range(1, spec.r):
-        for row in range(spec.p):
-            for col in range(spec.k):
-                if spec.coefficient(row, col, sidx) == 0:
-                    raise CodeSpecError(
-                        f"zero coefficient at row {row}, column {col}, parity {sidx}")
-    return spec
+    for sidx, table in enumerate(coeffs, 1):
+        for row, values in enumerate(table):
+            if 0 in values:
+                raise CodeSpecError(f"zero coefficient at row {row}, column "
+                                    f"{values.index(0)}, parity {sidx}")
+    return CodeSpec(fam, field, scheme, s, coeffs)
 
 
 class MdsReport(NamedTuple):

@@ -8,8 +8,8 @@ integer (so for GF(2^w) the integer IS the coefficient bit-vector).
 Everything here is computed on small ints, with no floating point anywhere.
 `add`, `sub` and `mul` are structural: the single definition of the
 arithmetic.  A field walks its primitive element's powers once, with `mul`,
-into `exp` and `log`.  `pow`, `inv` and a compiled code's product table
-(`zzmds.plan`) read them; tests check each against `mul`.
+into `exp` and `log`.  `pow`, `inv` and a compiled code's product and
+inverse tables (`zzmds.plan`) read them; tests check each against `mul`.
 """
 
 from __future__ import annotations

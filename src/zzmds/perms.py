@@ -90,22 +90,17 @@ def unit_vector(m: int, r: int, position: int) -> RVector:
     return RVector(tuple(digits), r)
 
 
-def access_set(v: RVector, s: int, special_zero: bool = False):
-    """Rows of a column rebuilt through parity s.
+def access_sets(v: RVector, special_zero: bool = False) -> tuple:
+    """The rows of a column with vector v rebuilt through each parity s =
+    0..r-1, from one walk over the rows' digits.
 
     For nonzero v these are the rows x with x.v = -s (mod r); the designated
     zero vector instead uses the all-ones functional with a positive sign,
-    x.(1,..,1) = s.  Either way the sets over s partition the rows and each
-    has r^(m-1) members for admissible v.
+    x.(1,..,1) = s.  Either way the sets partition the rows and each has
+    r^(m-1) members for admissible v.  The signed functional's value on
+    every row is built from the last digit up: each value of a digit heads
+    a copy of the values so far.
     """
-    if not 0 <= s < v.r:
-        raise ValueError(f"parity index {s} out of range for r={v.r}")
-    return access_sets(v, special_zero)[s]
-
-
-def access_sets(v: RVector, special_zero: bool = False) -> tuple:
-    """The access sets of v for parities 0..r-1, from one walk over the rows'
-    digits: the functional's value on every row, built digit by digit."""
     r = v.r
     if v.is_zero:
         if not special_zero:
@@ -116,11 +111,11 @@ def access_sets(v: RVector, special_zero: bool = False) -> tuple:
     else:
         functional, sign = v.digits, -1
     dots = [0]
-    for d_v in functional:
-        dots = [a + d * d_v for a in dots for d in range(r)]
+    for d_v in reversed(functional):
+        dots = [c + a for c in [sign * d * d_v for d in range(r)] for a in dots]
     sets = [[] for _ in range(r)]
     for x, dot in enumerate(dots):
-        sets[sign * dot % r].append(x)
+        sets[dot % r].append(x)
     return tuple(map(frozenset, sets))
 
 
@@ -194,9 +189,6 @@ class VectorFamily:
 
     def is_zero(self, idx: int) -> bool:
         return idx == self.zero_index
-
-    def access_set(self, idx: int, s: int):
-        return access_set(self.vectors[idx], s, special_zero=self.is_zero(idx))
 
 
 def make_family(vectors) -> VectorFamily:

@@ -3,7 +3,14 @@ one kernel that runs them over stripes.
 
 Everything here follows from the structural `Field` and `CodeSpec` alone,
 never from the data, so it is built once per spec (`CodeSpec.plan`, on first
-use) instead of once per stripe or cell.
+use) instead of once per stripe or cell.  Each command builds its own spec,
+so it compiles only what it runs: the field tables (add, mul, neg, inv and
+the row primitives) always; the zigzag lists and the coefficient table's
+columns read at them; then the parity gathers for encode, syndromes and
+decode maps, or one node's rebuild gather.  Each is built in bulk, never
+with a call per cell or per byte value: the tables from the field's `exp`,
+`log`, `char` and `degree` by translates, slices and whole-table
+comprehensions, and the gathers by `zip` transposes of whole columns.
 
 A node column is laid out as its node file (`zzmds.files`, which defines
 the column form): over T stripes, row x of every stripe is the row vector
@@ -46,10 +53,12 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import or_, xor
 from typing import NamedTuple
 
 from .files import as_column, symbol_width, zero_column
+from .perms import access_sets
 
 # Fields up to this size get materialised q x q tables (two of at most 65536
 # entries).  Larger ones, which only explicit prime-field configs reach, read
@@ -58,6 +67,9 @@ TABLE_MAX_Q = 256
 
 # Maps every nonzero byte to 1: a syndrome's bytes as lanes of 0/1.
 _NONZERO = bytes([0] + [1] * 255)
+
+# Every byte value twice, for `_plus`.
+_RAMP = bytes(range(256)) * 2
 
 
 class SingularMatrixError(ValueError):
@@ -100,11 +112,57 @@ class _Computed:
         return self.op(self.a, i)
 
 
+def _plus(c: int) -> bytes:
+    """The translate table that adds c to every byte (mod 256)."""
+    return _RAMP[c:c + 256]
+
+
+def _positional(digit: bytes, count: int, weight: int) -> bytes:
+    """The table over strings of `count` indices into `digit`, least
+    significant first, whose entry sums digit[e_i] * weight**i: one translate
+    of the table so far per value of the next, more significant, index."""
+    out = digit
+    for i in range(1, count):
+        out = b"".join(out.translate(_plus(d * weight ** i)) for d in digit)
+    return out
+
+
+def _add_table(field):
+    """The q x q sum table, digit by digit.  With a = t*size + a' and b =
+    u*size + b' (a', b' below size = char^i), a + b = ((t + u) % char) *
+    size + (a' + b'), so row a is the rows of a' shifted by each top digit in
+    turn: a rotation of one concatenation per row of a'."""
+    char, rows, size = field.char, [b"\0"], 1
+    for _ in range(field.degree):
+        joined = [b"".join(row.translate(_plus(v * size)) for v in range(char)) * 2
+                  for row in rows]
+        rows = [row[t * size:(t + char) * size] for t in range(char) for row in joined]
+        size *= char
+    return [list(row) for row in rows]
+
+
 def _mul_table(field):
-    """The q x q product table, through the field's discrete logarithms."""
-    q, exp, log = field.q, field.exp, field.log
-    return [[0] * q] + [[0] + [exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q)]
-                        for a in range(1, q)]
+    """The q x q product table, through the field's discrete logarithms: row
+    a is exp read from log a on, indexed by log b, so one translate of the
+    logs of 1..q-1."""
+    q, log = field.q, field.log
+    powers, logs, pad = bytes(field.exp) * 2, bytes(log[1:]), bytes(257 - q)
+    return [[0] * q] + [[0, *logs.translate(powers[e:e + q - 1] + pad)] for e in logs]
+
+
+def _negations(field) -> list:
+    """neg[a] = -a, digit by digit."""
+    char, neg = field.char, [0]
+    for i in range(field.degree):
+        neg = [d * char ** i + x for d in (0, *range(char - 1, 0, -1)) for x in neg]
+    return neg
+
+
+def _inverses(field) -> list:
+    """inv[a] = 1/a, exp read backwards at log a (inv[0] is 0)."""
+    exp = field.exp
+    backwards = exp[:1] + exp[:0:-1]
+    return [0, *[backwards[e] for e in field.log[1:]]]
 
 
 def row_arithmetic(field, mul, add):
@@ -123,15 +181,16 @@ def row_arithmetic(field, mul, add):
     - Every other field: the summands are the products themselves, summed
       cell by cell; a prime field adds them as integers and reduces mod q
       once.
+    The lane tables are built by `_positional` from one digit's table.
     """
     q, char, degree = field.q, field.char, field.degree
     bits = 8 // degree
     terms = (2 ** bits - 1) // (char - 1)
     big_ints = q <= TABLE_MAX_Q and (char == 2 or terms >= 2)
     if q <= TABLE_MAX_Q:
-        mask, pad = 2 ** bits - 1, bytes(256 - q)
-        lanes = (bytes(sum(a // char ** i % char << bits * i for i in range(degree))
-                       for a in range(q)) + pad if big_ints and char > 2 else bytes(range(256)))
+        pad = bytes(256 - q)
+        lanes = (_positional(bytes(range(char)), degree, 2 ** bits) + pad
+                 if big_ints and char > 2 else bytes(range(256)))
         tables = [bytes(row).translate(lanes) + pad for row in mul]
 
     if not big_ints:
@@ -157,8 +216,10 @@ def row_arithmetic(field, mul, add):
             return reduce(xor, parts, 0).to_bytes(t, "little")
         return lift, total
 
-    final = bytes(sum((v >> bits * i & mask) % char * char ** i for i in range(degree))
-                  for v in range(256))
+    # each bits-wide field of a byte reduced mod char, as a digit of the result
+    field_digits = (bytes(range(char)) * (2 ** bits // char + 1))[:2 ** bits]
+    final = _positional(field_digits, degree, char)
+    final *= 256 // len(final)
     reduced = final.translate(lanes)
 
     def total(parts, t):
@@ -181,11 +242,10 @@ class CodePlan:
         self.spec, self.field = replace(spec), field
         self.p, self.k, self.r, self.n = spec.p, spec.k, spec.r, spec.n
         if q <= TABLE_MAX_Q:
-            self.add = [[field.add(a, b) for b in range(q)] for a in range(q)]
-            self.mul = _mul_table(field)
+            self.add, self.mul = _add_table(field), _mul_table(field)
         else:
             self.add, self.mul = _Computed(field.add), _Computed(field.mul)
-        self.neg = [field.neg(a) for a in range(q)]
+        self.neg, self.inv = _negations(field), _inverses(field)
         self._lift, self._total = row_arithmetic(field, self.mul, self.add)
         self._targets = {}    # node -> (gather list, RebuildPlan)
         self._decoders = {}   # erased pattern -> its decode map, a chain of gather lists
@@ -374,42 +434,50 @@ class CodePlan:
     @cached_property
     def _zigzags(self) -> list:
         """zigzags[v][s][z]: the row of a column with family vector v that
-        feeds set z of parity s, z - s*v digit by digit, built by one product
-        over the digits."""
-        r = self.r
+        feeds set z of parity s, z - s*v digit by digit; parity 0 is the
+        identity.  Built from the last digit up, one comprehension per digit:
+        each value of the digit, rotated by -s*v there, heads a copy of the
+        list so far.  Parity -s's list inverts parity s's: it maps row x to
+        its set x + s*v."""
+        r, p = self.r, self.p
+        rings = [[(d + o) % r for d in range(r)] for o in range(r)]
         out = []
         for vector in self.spec.family.vectors:
-            per_parity = []
-            for sidx in range(r):
-                rows = [0]
-                for d_v in vector.digits:
-                    rows = [a * r + (d - sidx * d_v) % r for a in rows for d in range(r)]
+            per_parity = [list(range(p))]
+            for sidx in range(1, r):
+                rows, weight = [0], 1
+                for d_v in reversed(vector.digits):
+                    rows = [c + x for c in [b * weight for b in rings[-sidx * d_v % r]]
+                            for x in rows]
+                    weight *= r
                 per_parity.append(rows)
             out.append(per_parity)
+        return out
+
+    @cached_property
+    def _columns(self) -> list:
+        """columns[s][col]: information column col's part in parity s, as
+        (rows, coefficients), both indexed by set z: its zigzag list, and the
+        coefficient table's column col read at those rows."""
+        s, k, zigzags = self.spec.s, self.k, self._zigzags
+        out = [[(zigzags[col // s][0], (1,) * self.p) for col in range(k)]]
+        for sidx, table in enumerate(self.spec.coeffs, 1):
+            rows = [zigzags[col // s][sidx] for col in range(k)]
+            out.append([(ys, [by_row[y] for y in ys]) for ys, by_row in zip(rows, zip(*table))])
         return out
 
     @cached_property
     def parity(self) -> list:
         """Per parity, the gather list of its zigzag sets: entry z lists the
         members of set z, one (column, row, coefficient) per information
-        column, in column order."""
-        spec, s, zigzags = self.spec, self.spec.s, self._zigzags
-        out = []
-        for sidx in range(self.r):
-            sets = []
-            for z in range(self.p):
-                members = []
-                for col in range(self.k):
-                    y = zigzags[col // s][sidx][z]
-                    members.append((col, y, spec.coefficient(y, col, sidx)))
-                sets.append(members)
-            out.append(sets)
-        return out
+        column, in column order.  This is `_columns` transposed."""
+        return [list(zip(*(zip(repeat(col), ys, cs) for col, (ys, cs) in enumerate(columns))))
+                for columns in self._columns]
 
     @cached_property
     def _syndrome(self) -> list:
         minus_one = self.neg[1]
-        return [[terms + [(self.k + sidx, z, minus_one)] for z, terms in enumerate(gather)]
+        return [[(*terms, (self.k + sidx, z, minus_one)) for z, terms in enumerate(gather)]
                 for sidx, gather in enumerate(self.parity)]
 
     def _target(self, node: int):
@@ -420,27 +488,32 @@ class CodePlan:
     def _build_target(self, j: int):
         """(gather list, RebuildPlan) for one node.  A parity is encoded
         again from every information cell.  Row x of a systematic column is
-        read through the one parity s whose access set holds it:
-        x = inv(c_x) * (parity cell - sum of the other cells of its set), with
-        inv(c_x) folded into every coefficient."""
-        p, k, mul, neg = self.p, self.k, self.mul, self.neg
+        read through the one parity s whose access set holds it, from its
+        set z = x + s*v: x = inv(c_x) * (parity cell - sum of the other cells
+        of the set), with -inv(c_x) folded into every other coefficient.  The
+        access sets come from one walk over the rows, and each parity's
+        terms are gathered column by column from `_columns`, then transposed
+        into rows; the parity gathers themselves are not needed."""
+        p, k, r, inv, neg, mul = self.p, self.k, self.r, self.inv, self.neg, self.mul
         if j >= k:
             return self.parity[j - k], RebuildPlan(j, {c: tuple(range(p)) for c in range(k)})
-        gather = [None] * p
-        touched = {}
-        for sidx, sets in enumerate(self.parity):
-            rows = self.spec.access_rows(j, sidx)
-            for z, members in enumerate(sets):
-                _, x, cx = members[j]
-                if x not in rows:
-                    continue
-                ic = self.field.inv(cx)
-                minus_ic = mul[neg[ic]]
-                terms = [(k + sidx, z, ic)]
-                terms += [(col, y, minus_ic[c]) for col, y, c in members if col != j]
+        family, v = self.spec.family, j // self.spec.s
+        gather, touched = [None] * p, {}
+        for sidx, rows in enumerate(access_sets(family.vectors[v], family.is_zero(v))):
+            columns, forward = self._columns[sidx], self._zigzags[v][-sidx % r]
+            zs = [forward[x] for x in rows]
+            inverses = [inv[columns[j][1][z]] for z in zs]
+            scales = [mul[neg[ic]] for ic in inverses]
+            parts = [zip(repeat(k + sidx), zs, inverses)]
+            touched[k + sidx] = zs
+            for col, (ys, cs) in enumerate(columns):
+                if col != j:
+                    read = [ys[z] for z in zs]
+                    touched.setdefault(col, set()).update(read)
+                    parts.append(zip(repeat(col), read,
+                                     [scale[cs[z]] for scale, z in zip(scales, zs)]))
+            for x, terms in zip(rows, zip(*parts)):
                 gather[x] = terms
-                for node, row, _ in terms:
-                    touched.setdefault(node, set()).add(row)
         access = {node: tuple(sorted(rows)) for node, rows in touched.items()}
         return gather, RebuildPlan(j, access)
 
@@ -478,7 +551,7 @@ class CodePlan:
             while free := [u for u in row if u < unknowns]:
                 u = min(free)
                 if u not in pivots:
-                    scale = mul[self.field.inv(row[u])]
+                    scale = mul[self.inv[row[u]]]
                     pivots[u] = {col: scale[c] for col, c in row.items()}
                     break
                 mrow = mul[neg[row[u]]]

@@ -136,9 +136,14 @@ def copy_index(spec, col):
     return col % spec.s
 
 
+def family_index(spec, col):
+    """Which family vector systematic column col is a copy of."""
+    return col // spec.s
+
+
 def vector_for(spec, col):
     """Digits of the family vector behind systematic column col."""
-    return spec.family.vectors[col // spec.s].digits
+    return spec.family.vectors[family_index(spec, col)].digits
 
 
 def zigzag_index(spec, row, col, sidx):
@@ -213,6 +218,47 @@ def run_by_cells(spec, gathers, cols, nstripes):
     return outs
 
 
+def parity_gathers(spec):
+    """Per parity, the members (column, row, coefficient) of each zigzag set
+    z, in column order, placed cell by cell by `zigzag_index`."""
+    out = []
+    for sidx in range(spec.r):
+        sets = [[None] * spec.k for _ in range(spec.p)]
+        for col in range(spec.k):
+            for row in range(spec.p):
+                sets[zigzag_index(spec, row, col, sidx)][col] = (
+                    col, row, spec.coefficient(row, col, sidx))
+        out.append(sets)
+    return out
+
+
+def rebuild_gather(spec, j):
+    """(gather list, {node: sorted rows read}) of the rebuild of node j, cell
+    by cell.  A parity is its gather from every information cell.  Row x of
+    systematic column j is read through the one parity s whose explicit
+    access set holds it: its parity cell times 1/c_x, minus the other
+    members of its set times c/c_x, parity term first, then column order."""
+    f, k = spec.field, spec.k
+    parities = parity_gathers(spec)
+    if j >= k:
+        gather = parities[j - k]
+    else:
+        vd, zero = vector_for(spec, j), family_index(spec, j) == spec.family.zero_index
+        sets = [explicit_access_set(vd, s, spec.r, spec.m, zero) for s in range(spec.r)]
+        gather = []
+        for x in range(spec.p):
+            sidx = next(s for s in range(spec.r) if x in sets[s])
+            z = zigzag_index(spec, x, j, sidx)
+            ic = power(f, spec.coefficient(x, j, sidx), -1)
+            gather.append([(k + sidx, z, ic)] + [(col, y, f.neg(f.mul(ic, c)))
+                                                  for col, y, c in parities[sidx][z] if col != j])
+    read = {}
+    for terms in gather:
+        for node, row, _ in terms:
+            read.setdefault(node, set()).add(row)
+    return gather, {node: tuple(sorted(rows)) for node, rows in read.items()}
+
+
 def _set_members(spec, zidx, sidx):
     """(column, row, coefficient) of each information cell in parity-sidx
     set zidx."""
@@ -229,27 +275,15 @@ def _survivor_maps(spec, pattern):
     decodable.
 
     One lost information column is read row by row through the one parity
-    whose access set holds the row.  Otherwise the surviving parity
-    equations are taken in parity order, and each is kept if its erased
-    part is independent of those kept before; Gauss-Jordan on the kept ones
-    expresses each erased cell over surviving cells."""
+    whose access set holds the row (`rebuild_gather`).  Otherwise the
+    surviving parity equations are taken in parity order, and each is kept
+    if its erased part is independent of those kept before; Gauss-Jordan on
+    the kept ones expresses each erased cell over surviving cells."""
     f, p, k = spec.field, spec.p, spec.k
     lost = [c for c in pattern if c < k]
     if len(pattern) == 1:
-        (j,) = lost
-        vd, zero = vector_for(spec, j), j // spec.s == spec.family.zero_index
-        out = []
-        for x in range(p):
-            sidx = next(s for s in range(spec.r)
-                        if x in explicit_access_set(vd, s, spec.r, spec.m, zero))
-            zidx = zigzag_index(spec, x, j, sidx)
-            ic = power(f, spec.coefficient(x, j, sidx), -1)
-            cell = {(k + sidx, zidx): ic}
-            for col, y, c in _set_members(spec, zidx, sidx):
-                if col != j:
-                    cell[(col, y)] = f.neg(f.mul(ic, c))
-            out.append(cell)
-        return out
+        gather, _ = rebuild_gather(spec, lost[0])
+        return [{(node, row): c for node, row, c in terms} for terms in gather]
     unknowns = [(col, row) for col in lost for row in range(p)]
     index = {cell: u for u, cell in enumerate(unknowns)}
     pivots = []   # (unknown, dense erased part, {surviving cell: coefficient})

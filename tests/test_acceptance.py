@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import oracles
+from test_codec import access_rows
 from zzmds import analysis, gf
 from zzmds.construct import build_code, verify_mds
 from zzmds.files import as_column
@@ -59,9 +60,9 @@ def test_criterion_1_code53_golden():
         # z_0 = a_00 + 2 a_21 + 2 a_12 ; z_1 = a_10 + 2 a_31 + a_02
         assert members(0) == {(0, 0, 1), (2, 1, 2), (1, 2, 2)}
         assert members(1) == {(1, 0, 1), (3, 1, 2), (0, 2, 1)}
-        assert sorted(spec.access_rows(0, 0)) == [0, 3]
-        assert sorted(spec.access_rows(1, 0)) == [0, 1]
-        assert sorted(spec.access_rows(2, 0)) == [0, 2]
+        assert sorted(access_rows(spec, 0, 0)) == [0, 3]
+        assert sorted(access_rows(spec, 1, 0)) == [0, 1]
+        assert sorted(access_rows(spec, 2, 0)) == [0, 2]
 
 
 def test_criterion_2_optimal_ratio_r2():

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from zzmds import cli, files
+from zzmds.construct import MdsReport
 from zzmds.files import node_filename, read_manifest
 from zzmds.perms import format_vector_list, standard_basis_family
 
@@ -283,8 +284,47 @@ def test_wide_symbol_outside_field_is_lost(tmp_path, capsys):
 CONFIG_NOT_MDS = "family=weightw\nm=4\nw=2\nscheme=weightw\nfield=gf(3)\n"
 
 
+def test_encode_refuses_code_that_is_not_mds(tmp_path, capsys):
+    # gf(3) is not weightw w=2's default field (gf(5)), so encode verifies
+    # the code first, and writes nothing
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(CONFIG_NOT_MDS)
+    write(tmp_path / "p.bin", b"payload")
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(tmp_path / "p.bin"), "--config", str(cfg),
+                     "--out", str(out)]) == 3
+    assert "erasure pattern [0, 2] is not decodable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, verified", [
+    ("family=standard\nm=3\nr=2\nscheme=cons3\nfield=gf(3)\n", False),
+    ("family=standard\nm=3\nr=3\nscheme=r3\nfield=gf(11)\n", False),
+    ("family=weightw\nm=6\nw=3\nr=2\nscheme=weightw\nfield=gf(9)\n", False),
+    ("family=standard\nm=2\ns=2\nscheme=cons4\n", False),
+    ("family=standard\nm=2\ns=2\nscheme=cons4\nfield=gf(2^2)\n", True),
+    ("family=explicit\nvectors=00,10,01\nm=2\nscheme=cons3\n", True),
+], ids=["cons3", "r3", "weightw", "cons4-default", "cons4-gf4", "explicit"])
+def test_encode_verifies_only_outside_the_proven_setting(tmp_path, monkeypatch, config,
+                                                         verified):
+    # The construction's own family over its default field, named or not,
+    # is MDS by proof and encodes unchecked; another field or an explicit
+    # family is checked once, and passes here.
+    calls, verify_mds = [], cli.verify_mds
+
+    def counted(spec):
+        calls.append(spec)
+        return verify_mds(spec)
+    monkeypatch.setattr(cli, "verify_mds", counted)
+    encode_config(tmp_path, config, size=200)
+    assert len(calls) == verified
+
+
 @pytest.mark.parametrize("command", ["decode", "scrub"])
-def test_undecodable_pattern_is_uncorrectable(tmp_path, capsys, command):
+def test_undecodable_pattern_is_uncorrectable(tmp_path, capsys, monkeypatch, command):
+    # a directory of a code that is not MDS, as an encode without the
+    # check wrote it
+    monkeypatch.setattr(cli, "verify_mds", lambda spec: MdsReport(True, None, 0))
     cfg = tmp_path / "code.cfg"
     cfg.write_text(CONFIG_NOT_MDS)
     payload = tmp_path / "p.bin"

@@ -29,6 +29,17 @@ def test_tables_match_field_exhaustively(field):
         assert plan.add[a][plan.neg[a]] == 0
 
 
+@pytest.mark.parametrize("field", tabulated_fields() + [gf.field_create("prime", 257),
+                                                   gf.field_create("prime", 65521)],
+                         ids=lambda f: f.token)
+def test_inverse_and_negation_lists_match_field(field):
+    ones = ((((1,) * 2),) * 2,)
+    plan = build_code("table", m=1, field=field, coefficients=ones).plan
+    assert plan.neg == [field.neg(a) for a in range(field.q)]
+    assert len(plan.inv) == field.q
+    assert all(field.mul(a, plan.inv[a]) == 1 for a in range(1, field.q))
+
+
 def test_sparse_rank_and_overdetermined():
     f5 = gf.field_create("prime", 5)
     plan = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,)).plan
@@ -176,3 +187,49 @@ def test_repair_tries_only_the_located_column(monkeypatch, scheme, kwargs):
         assert cols == stripe
         assert (calls["_build_target"], calls["decode"]) == (1, 2)
         assert calls["_lane_masks"] == 1
+
+
+# r = 3 vectors with digits 2 and weight 2, which no scheme's family has
+EXPLICIT_R3 = "10,01,11,12"
+
+
+def explicit_r3():
+    rng = random.Random(3)
+    table = [[[rng.randrange(1, 7) for _ in range(4)] for _ in range(9)] for _ in range(2)]
+    return build_code("table", family="explicit", vectors=EXPLICIT_R3, r=3,
+                      field=gf.field_create("prime", 7), coefficients=table)
+
+
+GATHER_SPECS = {
+    "cons3-m3": lambda: build_code("cons3", m=3),
+    "cons4-m2-s2": lambda: build_code("cons4", m=2, s=2),
+    "r3-m2": lambda: build_code("r3", m=2),
+    "r3-m3": lambda: build_code("r3", m=3),
+    "weightw-m4-w2": lambda: build_code("weightw", family="weightw", m=4, w=2),
+    "weightw-m6-w3": lambda: build_code("weightw", family="weightw", m=6, w=3),
+    "explicit-weightw": lambda: build_code("weightw", family="explicit",
+                                           vectors="1010,0101,1001", m=4),
+    "explicit-table-r3": explicit_r3,
+    # past the plan's table limit: computed rows, no q x q tables
+    "cons4-m2-s2-gf257": lambda: build_code("cons4", m=2, s=2,
+                                            field=gf.field_create("prime", 257)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_SPECS))
+def test_gathers_match_cell_by_cell_construction(name):
+    # The plan builds its gathers in bulk, from zigzag lists, transposed
+    # coefficient columns and one access-set walk per node; the oracle
+    # places every cell by its zigzag index, coefficient and explicit
+    # access set.  Both give the same terms in the same order.
+    spec = GATHER_SPECS[name]()
+    plan, k, minus_one = spec.plan, spec.k, spec.field.neg(1)
+    parities = oracles.parity_gathers(spec)
+    assert [[list(terms) for terms in gather] for gather in plan.parity] == parities
+    assert [[list(terms) for terms in gather] for gather in plan._syndrome] == [
+        [terms + [(k + sidx, z, minus_one)] for z, terms in enumerate(gather)]
+        for sidx, gather in enumerate(parities)]
+    for node in range(spec.n):
+        gather, access = oracles.rebuild_gather(spec, node)
+        assert [list(terms) for terms in plan._target(node)[0]] == gather
+        assert plan.rebuild_plan(node).access == access

@@ -1,5 +1,7 @@
 """Closed-form rebuild-ratio predictions and reconciliation with measured
-access counts.  Every ratio is an exact Fraction; nothing here floats.
+access counts.  The prediction is closed-form for every pair of columns, the
+designated zero vector's included; nothing here walks the rows.  Every ratio
+is an exact Fraction; nothing here floats.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .construct import CodeSpec
-from .perms import access_union, pair_constant
+from .perms import pair_constant
 
 
 def lower_bound_ratio(n: int, k: int) -> Fraction:
@@ -20,17 +22,14 @@ def lower_bound_ratio(n: int, k: int) -> Fraction:
 
 
 def _pair_union_size(family, vi: int, ui: int) -> int:
-    """Rows read in column ui when rebuilding column vi (one stripe).
-
-    Closed form r^m / gcd(r, v.(v-u) - 1) for nonzero pairs; pairs touching
-    the designated zero vector fall back to explicit set construction.
+    """Rows read in column ui when rebuilding column vi (one stripe), in
+    closed form: r^m / gcd(r, c).  For nonzero v, c is the pair constant
+    v.(v-u) - 1, u the zero vector included; the designated zero vector's
+    access sets follow the all-ones functional, which makes c = sum(u) - 1.
     """
-    r = family.r
-    v = family.vectors[vi]
-    u = family.vectors[ui]
-    if family.is_zero(vi) or family.is_zero(ui):
-        return len(access_union(v, u, v_is_zero=family.is_zero(vi)))
-    return r ** family.m // gcd(r, pair_constant(v, u))
+    v, u = family.vectors[vi], family.vectors[ui]
+    c = sum(u.digits) - 1 if family.is_zero(vi) else pair_constant(v, u)
+    return family.p // gcd(family.r, c)
 
 
 def _base_predicted(spec: CodeSpec) -> Fraction:

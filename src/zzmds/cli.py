@@ -53,8 +53,6 @@ def _config_spec(values: dict):
     scheme = values.get("scheme")
     if not scheme:
         raise CliError("config needs scheme=")
-    if scheme == "table":
-        raise CliError("table-scheme codes carry coefficients only through the API")
     family, vectors = values.get("family", "standard"), values.get("vectors")
     try:
         field = field_from_token(values["field"]) if "field" in values else None

@@ -16,16 +16,15 @@ Schemes (the tags are also the config-file tokens):
   r3       r=3, standard basis + zero vector over a prime field q >= 2(m+1).
            Parity s>=1 coefficients are products of per-step factors a^l
            taken along the shift orbit of the column's unit vector.
-  table    caller-supplied coefficient table.
 
-The first parity (index 0) always uses unit coefficients.
+The first parity (index 0) always uses unit coefficients.  Every other
+coefficient is a power of the field's primitive element, so none is zero.
 
 A command builds its code once, from its config or manifest: the vector
 family, the field and the coefficient table.  Each scheme computes its
 table in bulk: the rows' digits are big ints with one byte lane per row,
 and the parities and dot products that pick a coefficient are XORs, shifts
 and sums of those ints, so each column of the table is one lookup per row.
-`build_code` then scans each row of the table once for a zero.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from typing import NamedTuple
 from .gf import Field, field_create, gf9, is_prime
 from .perms import (VectorFamily, make_family, standard_basis_family, unit_vector,
                     weight_w_family)
-
-SCHEMES = ("cons3", "cons4", "weightw", "r3", "table")
 
 # Brute-force MDS verification solves dense-ish systems per erasure pattern;
 # keep instances at desk scale.
@@ -61,7 +58,9 @@ class CodeSpec:
 
     Systematic columns are ordered family-index major, copy minor: column
     j*s + t is the t-th copy of family member j.  Parity node i sits at
-    global node index k + i.
+    global node index k + i.  Every coefficient is a nonzero element of
+    `field`; `build_code` makes no other, and nothing checks a spec built
+    by hand.
     """
 
     family: VectorFamily
@@ -263,20 +262,17 @@ def _validate_scheme(scheme, family, field, s):
             raise CodeSpecError("r3 needs the standard-basis family")
         if field.degree != 1 or q < 2 * (family.m + 1):
             raise CodeSpecError(f"r3 needs a prime field of size >= {2 * (family.m + 1)}")
-    elif scheme != "table":
-        raise CodeSpecError(f"unknown scheme {scheme!r}")
 
 
 def build_code(scheme: str, family: str = "standard", m: int = None, r: int = None,
-               s: int = 1, w: int = None, vectors=None, field: Field = None,
-               coefficients=None) -> CodeSpec:
+               s: int = 1, w: int = None, vectors=None, field: Field = None) -> CodeSpec:
     """Assemble a CodeSpec.
 
     family is 'standard', 'weightw', or 'explicit' (with `vectors` either a
     list of RVector or a comma-separated digit-string form).  When `field`
     is omitted the scheme's smallest sufficient field is used.
     """
-    if scheme not in SCHEMES:
+    if scheme not in _BUILDERS:
         raise CodeSpecError(f"unknown scheme {scheme!r}")
     if r is None:
         r = 3 if scheme == "r3" else 2
@@ -312,8 +308,6 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
         raise CodeSpecError(f"code too large: more than {MAX_CODE_CELLS} cells per stripe")
 
     if field is None:
-        if scheme == "table":
-            raise CodeSpecError("table scheme needs an explicit field")
         bw = w
         if scheme == "weightw":
             bw = block_width(fam)
@@ -325,27 +319,7 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
         raise CodeSpecError("duplication factor must be at least 1")
     _validate_scheme(scheme, fam, field, s)
 
-    if scheme == "table":
-        if coefficients is None:
-            raise CodeSpecError("table scheme needs coefficients")
-        k = fam.size * s
-        coeffs = tuple(tuple(tuple(row) for row in t) for t in coefficients)
-        if len(coeffs) != fam.r - 1 or any(
-                len(t) != fam.p or any(len(row) != k for row in t) for t in coeffs):
-            raise CodeSpecError("coefficient table must be (r-1) x p x k")
-        for t in coeffs:
-            for row in t:
-                for c in row:
-                    field.check(c)
-    else:
-        coeffs = _BUILDERS[scheme](fam, field, s)
-
-    for sidx, table in enumerate(coeffs, 1):
-        for row, values in enumerate(table):
-            if 0 in values:
-                raise CodeSpecError(f"zero coefficient at row {row}, column "
-                                    f"{values.index(0)}, parity {sidx}")
-    return CodeSpec(fam, field, scheme, s, coeffs)
+    return CodeSpec(fam, field, scheme, s, _BUILDERS[scheme](fam, field, s))
 
 
 class MdsReport(NamedTuple):

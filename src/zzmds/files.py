@@ -107,8 +107,6 @@ def node_shape(mf: Manifest) -> tuple:
     """The node files' shape (n nodes of p symbols a stripe, over `field`),
     checked from the manifest alone, before any code is built: a garbled m
     would otherwise build a code of r^m rows first."""
-    if mf.scheme == "table":
-        raise FormatError("table-scheme directories carry no coefficient source")
     if mf.r < 2 or mf.m < 1 or mf.s < 1:
         raise FormatError(f"bad geometry m={mf.m} r={mf.r} s={mf.s}")
     field = field_from_token(mf.field_token)
@@ -247,10 +245,10 @@ def read_columns(directory: str, shape: tuple, stripe_count: int, rows=None):
     `rows` ({node: sorted rows}) names the nodes to read and, of each, the
     rows: one os.pread per run of consecutive rows, into a column whose other
     rows are zero.  No rows only sizes the file.  Without `rows` every node
-    file is read whole.  A file with a partial symbol, other than
-    stripe_count * p symbols, or a symbol outside the field in the bytes read
-    has a problem instead: the kernels index columns by row offset and tables
-    by symbol, and check neither.
+    file is read whole, in one os.pread.  A file with a partial symbol, other
+    than stripe_count * p symbols, or a symbol outside the field in the bytes
+    read has a problem instead: the kernels index columns by row offset and
+    tables by symbol, and check neither.
     """
     n, p, field = shape
     q, t = field.q, stripe_count
@@ -272,7 +270,7 @@ def read_columns(directory: str, shape: tuple, stripe_count: int, rows=None):
                 problems[i] = f"{size // width} symbols, not {t * p}"
                 continue
             col = zero_column(q, t * p)
-            for start, stop in _runs(range(p) if rows is None else rows[i]):
+            for start, stop in [(0, p)] if rows is None else _runs(rows[i]):
                 blob = os.pread(fd, (stop - start) * t * width, start * t * width)
                 nread += len(blob)
                 part = _file_symbols(blob, q)

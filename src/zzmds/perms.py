@@ -1,4 +1,6 @@
-"""Radix-r digit vectors, the row permutations x -> x + i*v, and access sets.
+"""Radix-r digit vectors and their families, which define the row
+permutations x -> x + i*v; each vector's access sets; and the pair constant
+that sizes the rows one column's rebuild reads in another.
 
 Row indices in [0, r^m - 1] are identified with their base-r digit strings,
 most significant digit first (digit 1 is the most significant).  All digit
@@ -9,24 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-
-def to_digits(x: int, r: int, m: int):
-    """Base-r digits of x, most significant first."""
-    if not 0 <= x < r ** m:
-        raise ValueError(f"row index {x} out of range for r={r}, m={m}")
-    out = [0] * m
-    for i in range(m - 1, -1, -1):
-        out[i] = x % r
-        x //= r
-    return tuple(out)
-
-
-def from_digits(digits, r: int) -> int:
-    v = 0
-    for d in digits:
-        v = v * r + d % r
-    return v
 
 
 @dataclass(frozen=True)
@@ -69,11 +53,6 @@ class RVector:
     def support(self):
         """1-indexed positions of nonzero digits."""
         return tuple(i + 1 for i, d in enumerate(self.digits) if d)
-
-    def dot(self, x: int) -> int:
-        """Inner product with the digit string of row index x, mod r."""
-        xd = to_digits(x, self.r, self.m)
-        return sum(a * b for a, b in zip(xd, self.digits)) % self.r
 
     def dot_vec(self, other: "RVector") -> int:
         return sum(a * b for a, b in zip(self.digits, other.digits)) % self.r
@@ -123,27 +102,6 @@ def pair_constant(v: RVector, u: RVector) -> int:
     """The pair constant v.(v-u) - 1 mod r deciding whether transfer sets coincide."""
     diff = RVector(tuple((a - b) % v.r for a, b in zip(v.digits, u.digits)), v.r)
     return (v.dot_vec(diff) - 1) % v.r
-
-
-def access_union(v: RVector, u: RVector, v_is_zero: bool = False):
-    """All rows read in column u across parities when rebuilding column v.
-
-    One pass: row x is rebuilt through the single parity s whose access set
-    holds it, and contributes the row x + s*(v - u) of column u.
-    """
-    r, m = v.r, v.m
-    if not v_is_zero and (v.is_zero or not v.admissible):
-        raise ValueError(f"vector {v} is not admissible here")
-    diff = tuple((a - b) % r for a, b in zip(v.digits, u.digits))
-    out = set()
-    for x in range(r ** m):
-        xd = to_digits(x, r, m)
-        if v_is_zero:
-            s = sum(xd) % r
-        else:
-            s = -sum(a * b for a, b in zip(xd, v.digits)) % r
-        out.add(from_digits(((a + s * d) % r for a, d in zip(xd, diff)), r))
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -398,12 +398,10 @@ class CodePlan:
 
         An error E in systematic column j leaves syndrome 0 equal to E (its
         coefficients are 1), and syndrome s >= 1 at set z equal to c * E[y],
-        for the row y of j that feeds set z with coefficient c.  So j
-        explains stripe t only if, in lane t, masks[s][z] equals masks[0][y]
-        for every s >= 1 and z.  Where c is zero (`build_code` makes none)
-        only the subset is required, so that no coefficient rules out the
-        culprit.  Parity k + s explains stripe t only if every other
-        syndrome is zero there."""
+        for the row y of j that feeds set z with coefficient c, never zero.
+        So j explains stripe t only if, in lane t, masks[s][z] equals
+        masks[0][y] for every s >= 1 and z.  Parity k + s explains stripe t
+        only if every other syndrome is zero there."""
         masks = self._lane_masks(syndromes, nstripes)
         anywhere = [reduce(or_, rows) for rows in masks]
         inconsistent, syndrome0 = reduce(or_, anywhere), masks[0]
@@ -412,8 +410,8 @@ class CodePlan:
             acc = 0
             for sidx in range(1, self.r):
                 for mask, members in zip(masks[sidx], self.parity[sidx]):
-                    _, y, c = members[j]
-                    acc |= mask ^ syndrome0[y] if c else mask & ~syndrome0[y]
+                    _, y, _ = members[j]
+                    acc |= mask ^ syndrome0[y]
             ruled_out.append(acc)
         for sidx in range(self.r):
             ruled_out.append(reduce(or_, anywhere[:sidx] + anywhere[sidx + 1:]))

@@ -9,6 +9,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
 
+from zzmds.construct import CodeSpec
+from zzmds.perms import standard_basis_family
+
 
 def power(field, a, e):
     """a**e by square-and-multiply over the structural `Field.mul`, with a
@@ -129,6 +132,15 @@ def overlap_r2(vd, ud, m):
     fv = {shift(x, vd, 1, 2, m) for x in xs}
     fu = {shift(x, ud, 1, 2, m) for x in xs}
     return len(fv & fu)
+
+
+def table_code(field, coeffs, m=1, s=1, family=None):
+    """A code with the caller's coefficient table, [parity-1][row][column],
+    over `family` (default: the standard basis, r = 2): a `CodeSpec` built
+    directly, since every scheme computes its own table.  Nothing checks the
+    table; it must be (r-1) x p x k and hold nonzero elements of `field`."""
+    family = family or standard_basis_family(m, 2)
+    return CodeSpec(family, field, "table", s, tuple(tuple(map(tuple, t)) for t in coeffs))
 
 
 def copy_index(spec, col):

@@ -140,12 +140,12 @@ def test_criterion_5_exhaustive_mds():
 
         f3 = gf.field_create("prime", 3)
         ones6 = (tuple(tuple(1 for _ in range(6)) for _ in range(4)),)
-        dup_unit = build_code("table", m=2, s=2, field=f3, coefficients=ones6)
+        dup_unit = oracles.table_code(f3, ones6, m=2, s=2)
         assert not verify_mds(dup_unit).is_mds
 
         f2 = gf.field_create("prime", 2)
         ones3 = (tuple(tuple(1 for _ in range(3)) for _ in range(4)),)
-        gf2_port = build_code("table", m=2, field=f2, coefficients=ones3)
+        gf2_port = oracles.table_code(f2, ones3, m=2)
         assert not verify_mds(gf2_port).is_mds
 
 

@@ -994,6 +994,31 @@ def test_manifest_only_directory_fails_before_building(tmp_path, capsys, command
     assert message in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command", ["rebuild", "decode", "scrub"])
+def test_garbled_m_over_empty_node_files_fails_at_once(tmp_path, capsys, command):
+    # an empty payload passes the stripe-count check for any m, and its
+    # empty node files fit any p: reading them whole must not walk the
+    # 2^40 rows of the garbled m
+    cfg = tmp_path / "code.cfg"
+    cfg.write_text(CONFIG_53)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    out = tmp_path / "nodes"
+    assert cli.main(["encode", str(empty), "--config", str(cfg), "--out", str(out)]) == 0
+    rewrite_manifest(out, m=40)
+    before = {name: read(out / name) for name in os.listdir(out)}
+    back = tmp_path / "back.bin"
+    argv = [command, str(out)] + (["--out", str(back)] if command == "decode" else [])
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert {name: read(out / name) for name in os.listdir(out)} == before
+    assert not back.exists()
+
+
 @pytest.mark.parametrize("case", ["manifest-dir", "node-dir", "encode-out-file",
                                   "decode-out-missing-dir"])
 def test_filesystem_errors_are_usage_errors(workdir, capsys, case):

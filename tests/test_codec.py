@@ -269,7 +269,7 @@ def test_decode_signals_undecodable_spec():
     # singular and the generic fallback must report it rather than fail silently.
     f2 = gf.field_create("prime", 2)
     ones = (tuple(tuple(1 for _ in range(3)) for _ in range(4)),)
-    spec = build_code("table", m=2, field=f2, coefficients=ones)
+    spec = oracles.table_code(f2, ones, m=2)
     stripe = encode(spec, [[0] * 4 for _ in range(3)])
     with pytest.raises(SingularMatrixError):
         decoded(spec, stripe, [0, 1])

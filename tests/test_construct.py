@@ -151,19 +151,29 @@ def test_weightw_over_gf16():
 
 
 def test_all_coefficients_nonzero():
-    specs = [
-        code53(),
-        build_code("cons3", m=3),
-        build_code("cons4", m=2, s=2),
-        build_code("cons4", m=2, s=3, field=gf.field_create("prime", 5)),
-        build_code("weightw", family="weightw", m=6, w=3),
-        build_code("r3", m=2),
-    ]
+    # Every builder reads powers of the primitive element, so no coefficient
+    # is zero over any field its scheme accepts: elimination and error
+    # location assume none is, and nothing checks a built table for one.
+    binary = [gf.field_create("binary-extension", w) for w in range(2, 9)]
+    specs = (
+        [build_code("cons3", m=m) for m in (1, 2, 3, 5)]
+        + [build_code("cons4", m=3, s=s) for s in (1, 2, 4)]
+        + [build_code("cons4", m=2, s=s, field=f) for f in binary + [gf.gf9()]
+           for s in (1, f.q - 2)]
+        + [build_code("cons4", m=2, s=3, field=gf.field_create("prime", 5))]
+        + [build_code("weightw", family="weightw", m=m, w=w, field=field)
+           for m, w in ((4, 2), (6, 3))
+           for field in (None, gf.field_create("prime", 3), gf.field_create("prime", 5),
+                         gf.field_create("binary-extension", 4), gf.gf9())]
+        + [build_code("r3", m=m, field=gf.field_create("prime", q) if q else None)
+           for m, primes in ((2, (None, 11, 13)), (3, (None, 13, 17))) for q in primes]
+    )
     for spec in specs:
-        for sidx in range(1, spec.r):
-            for row in range(spec.p):
-                for col in range(spec.k):
-                    assert spec.coefficient(row, col, sidx) != 0
+        assert len(spec.coeffs) == spec.r - 1
+        for table in spec.coeffs:
+            assert len(table) == spec.p
+            for row in table:
+                assert len(row) == spec.k and 0 not in row, spec
 
 
 def test_r3_coefficients_match_matrix_powers():
@@ -189,7 +199,8 @@ def test_r3_coefficients_match_matrix_powers():
         mat = [[0] * p for _ in range(p)]
         al = f.pow(a, l)
         for y in range(p):
-            mat[oracles.perm_apply(v, 1, y)][y] = al if v.dot(y) == 0 else 1
+            dot = oracles.dot_rows(y, v.digits, spec.r, spec.m)
+            mat[oracles.perm_apply(v, 1, y)][y] = al if dot == 0 else 1
         mats.append(mat)
 
     for l, v in enumerate(spec.family.vectors):
@@ -220,16 +231,10 @@ def test_verify_mds_pattern_count():
     assert report.patterns_checked == 6 + 15
 
 
-def test_table_scheme_roundtrip():
-    base = code53()
-    spec = build_code("table", m=2, field=base.field, coefficients=base.coeffs)
-    assert verify_mds(spec).is_mds
-
-
 def test_unit_coefficients_break_duplication():
     f3 = gf.field_create("prime", 3)
     ones = (tuple(tuple(1 for _ in range(6)) for _ in range(4)),)
-    spec = build_code("table", m=2, s=2, field=f3, coefficients=ones)
+    spec = oracles.table_code(f3, ones, m=2, s=2)
     report = verify_mds(spec)
     assert not report.is_mds
     sys_cols = [c for c in report.failing_pattern if c < spec.k]
@@ -240,24 +245,8 @@ def test_unit_coefficients_break_duplication():
 def test_unit_coefficients_over_gf2_not_mds():
     f2 = gf.field_create("prime", 2)
     ones = (tuple(tuple(1 for _ in range(3)) for _ in range(4)),)
-    spec = build_code("table", m=2, field=f2, coefficients=ones)
+    spec = oracles.table_code(f2, ones, m=2)
     assert not verify_mds(spec).is_mds
-
-
-def test_no_table_over_gf2_survives_duplication():
-    # Two copies need three distinct coefficient ratios; GF(2) has one.
-    # Exhaustive over all 2^8 tables for m=1, s=2: every table but the
-    # all-ones one holds a zero, which the builder rejects.
-    f2 = gf.field_create("prime", 2)
-    for bits in range(256):
-        table = (tuple(tuple((bits >> (2 * col + row)) & 1 for col in range(4))
-                       for row in range(2)),)
-        if bits != 255:
-            with pytest.raises(CodeSpecError):
-                build_code("table", m=1, s=2, field=f2, coefficients=table)
-            continue
-        spec = build_code("table", m=1, s=2, field=f2, coefficients=table)
-        assert not verify_mds(spec).is_mds
 
 
 ORACLE_SPECS = {
@@ -266,10 +255,10 @@ ORACLE_SPECS = {
     "cons4-m1-s2": lambda: build_code("cons4", m=1, s=2),
     "r3-m1": lambda: build_code("r3", m=1),
     "weightw-m2-w2": lambda: build_code("weightw", family="weightw", m=2, w=2),
-    "ones-gf2-m2": lambda: build_code("table", m=2, field=gf.field_create("prime", 2),
-                                      coefficients=(((1,) * 3,) * 4,)),
-    "ones-gf2-m1-s2": lambda: build_code("table", m=1, s=2, field=gf.field_create("prime", 2),
-                                         coefficients=(((1,) * 4,) * 2,)),
+    "ones-gf2-m2": lambda: oracles.table_code(gf.field_create("prime", 2),
+                                              (((1,) * 3,) * 4,), m=2),
+    "ones-gf2-m1-s2": lambda: oracles.table_code(gf.field_create("prime", 2),
+                                                 (((1,) * 4,) * 2,), s=2),
 }
 
 
@@ -286,14 +275,6 @@ def test_verify_mds_matches_exhaustive_search(name):
     report = verify_mds(spec)
     assert (report.is_mds, report.failing_pattern, report.patterns_checked) == (
         failing is None, failing, checked)
-
-
-def test_zero_coefficient_rejected_by_validation():
-    f3 = gf.field_create("prime", 3)
-    table = [[[1] * 3 for _ in range(4)]]
-    table[0][2][1] = 0
-    with pytest.raises(CodeSpecError):
-        build_code("table", m=2, field=f3, coefficients=table)
 
 
 def test_verify_mds_size_limit():

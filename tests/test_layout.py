@@ -27,17 +27,18 @@ def definitions(module, tree):
 
 
 def references(tree, owners):
-    """(name, enclosing definitions) for each Name and Attribute in the
-    tree; `owners` maps definition nodes to their qualified names."""
+    """(name, is an attribute, enclosing definitions) for each Name and
+    Attribute in the tree; `owners` maps definition nodes to their qualified
+    names."""
     out = []
 
     def visit(node, chain):
         if node in owners:
             chain = chain + (owners[node],)
         if isinstance(node, ast.Name):
-            out.append((node.id, chain))
+            out.append((node.id, False, chain))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, chain))
+            out.append((node.attr, True, chain))
         for child in ast.iter_child_nodes(node):
             visit(child, chain)
 
@@ -51,20 +52,27 @@ def unused_definitions():
     module-level code or from inside definitions that are themselves used,
     repeated to a fixpoint, so a chain of helpers that only an unused
     definition reaches is unused as a whole.  Names are matched by their last
-    part, so a method shares its uses with every attribute of its name."""
+    part, so a method shares its uses with every attribute of its name; a
+    function or class is also used by a bare name, a method only through an
+    attribute, so a local variable of the same name does not hide it."""
     defs, chains = {}, {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         found = definitions(path.stem, tree)
         defs.update(found)
-        for ref, chain in references(tree, {node: name for name, node in found.items()}):
-            chains.setdefault(ref, set()).add(chain)
+        for ref, attr, chain in references(tree, {node: name for name, node in found.items()}):
+            chains.setdefault((ref, attr), set()).add(chain)
+
+    def uses(name):
+        last, method = name.rsplit(".", 1)[1], name.count(".") == 2
+        return chains.get((last, True), set()) | (
+            set() if method else chains.get((last, False), set()))
+
     used = set(defs)
     while True:
         now = {name for name in defs
                if name.rsplit(".", 1)[1].startswith("__") or name in EXEMPT
-               or any(name not in chain and used.issuperset(chain)
-                      for chain in chains.get(name.rsplit(".", 1)[1], ()))}
+               or any(name not in chain and used.issuperset(chain) for chain in uses(name))}
         if now == used:
             return sorted(set(defs) - used)
         used = now

@@ -2,26 +2,26 @@ import pytest
 
 import oracles
 from test_codec import SPECS, access_rows
-from zzmds import perms
+from zzmds import analysis, perms
 from zzmds.construct import build_code
-from zzmds.perms import (RVector, access_sets, access_union, make_family, parse_vector_list,
-                         standard_basis_family, to_digits, weight_w_family)
+from zzmds.perms import (RVector, VectorFamily, access_sets, make_family, parse_vector_list,
+                         standard_basis_family, weight_w_family)
 
 
 def all_nonzero_vectors(m, r):
     out = []
     for x in range(1, r ** m):
-        v = RVector(to_digits(x, r, m), r)
+        v = RVector(oracles.digits_of(x, r, m), r)
         if v.admissible:
             out.append(v)
     return out
 
 
 def test_digit_convention_msb_first():
-    assert to_digits(3, 2, 2) == (1, 1)
-    assert to_digits(1, 2, 2) == (0, 1)
-    assert to_digits(5, 3, 2) == (1, 2)
-    assert perms.from_digits((1, 0), 3) == 3
+    assert oracles.digits_of(3, 2, 2) == (1, 1)
+    assert oracles.digits_of(1, 2, 2) == (0, 1)
+    assert oracles.digits_of(5, 3, 2) == (1, 2)
+    assert oracles.int_of((1, 0), 3) == 3
 
 
 def test_binary_shift_example():
@@ -167,31 +167,19 @@ def test_overlap_parity_rule():
                 assert oracles.overlap_r2(v.digits, u.digits, m) == expected
 
 
-def test_access_union_with_zero_member():
-    fam = standard_basis_family(3, 3)
-    # Reading any column while rebuilding any other touches p/r rows only.
-    for vi in range(fam.size):
-        for ui in range(fam.size):
-            if vi == ui:
-                continue
-            union = access_union(fam.vectors[vi], fam.vectors[ui],
-                                 v_is_zero=fam.is_zero(vi))
-            assert len(union) == 9
-
-
-def test_access_union_matches_per_parity_transfers():
-    for r, m in ((2, 3), (3, 2), (3, 3)):
-        vectors = all_nonzero_vectors(m, r) + [RVector((0,) * m, r)]
-        for v in vectors:
-            for u in vectors:
-                if u == v:
+def test_pair_union_size_matches_per_parity_transfers():
+    # The closed form r^m / gcd(r, c) against the union over parities of the
+    # explicit transfer sets, for every ordered pair of distinct admissible
+    # vectors, with the designated zero vector on either side.
+    for r, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)):
+        family = VectorFamily((RVector((0,) * m, r), *all_nonzero_vectors(m, r)), 0)
+        for vi, v in enumerate(family.vectors):
+            for ui, u in enumerate(family.vectors):
+                if ui == vi:
                     continue
-                expected = frozenset()
-                for i in range(r):
-                    expected |= oracles.explicit_transfer(
-                        v.digits, u.digits, i, r, m, v_zero=v.is_zero)
-                got = access_union(v, u, v_is_zero=v.is_zero)
-                assert got == expected
+                rows = frozenset().union(*(oracles.explicit_transfer(
+                    v.digits, u.digits, i, r, m, v_zero=vi == 0) for i in range(r)))
+                assert analysis._pair_union_size(family, vi, ui) == len(rows), (v, u)
 
 
 def test_orthogonality_standard_basis():

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from zzmds import gf
 from zzmds.construct import build_code
+from zzmds.perms import make_family, parse_vector_list
 from zzmds.plan import TABLE_MAX_Q, CodePlan, as_column
 
 
@@ -20,7 +21,7 @@ def tabulated_fields():
 @pytest.mark.parametrize("field", tabulated_fields(), ids=lambda f: f.token)
 def test_tables_match_field_exhaustively(field):
     ones = ((((1,) * 2),) * 2,)   # m=1, r=2: a 2 x 2 table of unit coefficients
-    plan = build_code("table", m=1, field=field, coefficients=ones).plan
+    plan = oracles.table_code(field, ones).plan
     q = field.q
     assert len(plan.add) == len(plan.mul) == len(plan.neg) == q
     for a in range(q):
@@ -34,7 +35,7 @@ def test_tables_match_field_exhaustively(field):
                          ids=lambda f: f.token)
 def test_inverse_and_negation_lists_match_field(field):
     ones = ((((1,) * 2),) * 2,)
-    plan = build_code("table", m=1, field=field, coefficients=ones).plan
+    plan = oracles.table_code(field, ones).plan
     assert plan.neg == [field.neg(a) for a in range(field.q)]
     assert len(plan.inv) == field.q
     assert all(field.mul(a, plan.inv[a]) == 1 for a in range(1, field.q))
@@ -42,7 +43,7 @@ def test_inverse_and_negation_lists_match_field(field):
 
 def test_sparse_rank_and_overdetermined():
     f5 = gf.field_create("prime", 5)
-    plan = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,)).plan
+    plan = oracles.table_code(f5, ((((1,) * 2),) * 2,)).plan
     eqs = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 2, 1: 2}]
     # full rank in three unknowns, forward elimination only: each row keeps
     # the later unknowns it was left with, and the fourth row, twice the
@@ -62,7 +63,7 @@ def test_run_reads_rows_it_has_filled():
     # first, then output 0's row 1, then its row 0, which reads both.  Node
     # 0 is the one input column; nodes 1 and 2 are outputs 0 and 1.
     f5 = gf.field_create("prime", 5)
-    spec = build_code("table", m=1, field=f5, coefficients=((((1,) * 2),) * 2,))
+    spec = oracles.table_code(f5, ((((1,) * 2),) * 2,))
     gathers = [[[(1, 1, 1), (2, 1, 2)], [(0, 0, 2)]],
                [[(0, 0, 1)], [(0, 1, 3)]]]
     col = [1, 4, 2, 3]        # row 0, then row 1, of two stripes
@@ -76,7 +77,7 @@ def test_run_reads_rows_it_has_filled():
 def row_primitives(field):
     """The (lift, total) row primitives a plan over `field` picked."""
     ones = ((((1,) * 2),) * 2,)
-    plan = build_code("table", m=1, field=field, coefficients=ones).plan
+    plan = oracles.table_code(field, ones).plan
     return plan._lift, plan._total
 
 
@@ -196,8 +197,8 @@ EXPLICIT_R3 = "10,01,11,12"
 def explicit_r3():
     rng = random.Random(3)
     table = [[[rng.randrange(1, 7) for _ in range(4)] for _ in range(9)] for _ in range(2)]
-    return build_code("table", family="explicit", vectors=EXPLICIT_R3, r=3,
-                      field=gf.field_create("prime", 7), coefficients=table)
+    family = make_family(parse_vector_list(EXPLICIT_R3, 3))
+    return oracles.table_code(gf.field_create("prime", 7), table, family=family)
 
 
 GATHER_SPECS = {

@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 failed verification, 2 uncorrectable, 3 config/usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache
 
@@ -15,7 +14,6 @@ from . import files
 from .construct import (MAX_VERIFY_CELLS, CodeSpecError, block_width, build_code,
                         default_field, verify_mds)
 from .gf import FieldError, field_from_token
-from .files import zero_column
 from .plan import SingularMatrixError
 
 CONFIG_KEYS = {"family", "vectors", "m", "r", "s", "scheme", "field", "w"}
@@ -71,51 +69,20 @@ def parse_config(path: str):
     return _config_spec(_config_values(path))
 
 
-def _load_dir(directory):
-    """The manifest and the node files' (n, p, field), from the manifest alone."""
-    manifest_path = os.path.join(directory, "manifest")
-    if not os.path.exists(manifest_path):
-        raise CliError(f"no manifest in {directory}")
-    try:
-        mf = files.read_manifest(manifest_path)
-        return mf, files.node_shape(mf)
-    except (files.FormatError, FieldError, ValueError) as e:
-        raise CliError(f"bad manifest: {e}") from None
-
-
-def _spec(mf, field):
-    """The manifest's code, built once the node files have been counted."""
-    try:
-        return files.spec_from_manifest(mf, field)
-    except (files.FormatError, CodeSpecError, FieldError, ValueError) as e:
-        raise CliError(f"bad manifest: {e}") from None
-
-
-def _read_nodes(directory, shape, mf, rows=None):
-    """Node files that can be used as stored: ({node: column}, [invalid nodes],
-    bytes read), of the nodes and rows `rows` names, or of every node whole.
-
-    An invalid file (`files.read_columns`) is left out with a warning and so
-    counts as an erasure.
-    """
-    columns, problems, nread = files.read_columns(directory, shape, mf.stripe_count, rows)
+def _read_nodes(directory, rows=None):
+    """`files.read_columns` as ({node: column}, [invalid nodes], bytes read): an
+    invalid file is left out with a warning and so counts as an erasure."""
+    columns, problems, nread = files.read_columns(directory, rows)
     for node, problem in sorted(problems.items()):
         print(f"warning: {files.node_filename(node)} holds {problem}; treating it as lost",
               file=sys.stderr)
     return columns, sorted(problems), nread
 
 
-def _write_nodes(directory, spec, cols, nodes):
-    """Write the node files of `nodes` from the node columns `cols`."""
-    for node in nodes:
-        files.write_node_file(os.path.join(directory, files.node_filename(node)),
-                              cols[node], spec.field.q)
-
-
-def _repair(spec, mf, cols, erased):
+def _repair(spec, directory, cols, erased):
     """`CodePlan.repair`.  Returns the sorted corrected survivors, or None
     after reporting an uncorrectable stripe."""
-    fixed, bad = spec.plan.repair(cols, mf.stripe_count, erased)
+    fixed, bad = spec.plan.repair(cols, directory.stripes, erased)
     if bad is not None:
         print(f"stripe {bad}: uncorrectable (more than one corrupted column)")
         return None
@@ -150,92 +117,65 @@ def cmd_encode(args):
             data = fh.read()
     except OSError as e:
         raise CliError(f"cannot read input: {e}")
-    q, p, k = spec.field.q, spec.p, spec.k
-    symbols = files.bytes_to_symbols(data, q)
-    cap = p * k
-    nstripes = files.stripes_for(len(data), q, cap)
-    symbols += zero_column(q, nstripes * cap - len(symbols))
-
-    # stripe t of node j is symbols [t*cap + j*p, t*cap + (j+1)*p), so row x
-    # of node j, its extent [x*nstripes, (x+1)*nstripes), is every cap-th
-    # symbol from j*p + x
-    per_node = [zero_column(q, nstripes * p) for _ in range(k)]
-    for j, col in enumerate(per_node):
-        for x in range(p):
-            col[x * nstripes:(x + 1) * nstripes] = symbols[j * p + x::cap]
-    per_node += spec.plan.encode(per_node, nstripes)
-
-    os.makedirs(args.out, exist_ok=True)
-    _write_nodes(args.out, spec, per_node, range(spec.n))
-    files.write_manifest(os.path.join(args.out, "manifest"),
-                         files.manifest_for(spec, len(data), nstripes))
-    print(f"encoded {len(data)} bytes into {nstripes} stripes across "
+    out = files.encode(args.out, spec, data)
+    print(f"encoded {len(data)} bytes into {out.stripes} stripes across "
           f"{spec.n} nodes ({spec.k} data + {spec.r} parity) in {args.out}")
     return 0
 
 
-def _decode_payload(spec, mf, columns):
-    """Recover the original byte payload from intact systematic columns."""
-    q, p, k, t = spec.field.q, spec.p, spec.k, mf.stripe_count
-    cap = p * k
-    out = zero_column(q, t * cap)
-    for j in range(k):
-        for x in range(p):
-            out[j * p + x::cap] = columns[j][x * t:(x + 1) * t]
-    return files.symbols_to_bytes(out, q, mf.payload_length)
-
-
 def cmd_rebuild(args):
-    mf, shape = _load_dir(args.dir)
-    n, _, field = shape
+    directory = files.EncodedDir(args.dir)
+    n, count = directory.n, directory.stripes
     if args.node is not None and not 0 <= args.node < n:
         raise CliError("missing node index out of range")
     # The files are first only sized: the lost node is the one absent or
     # mis-sized file, and its rebuild reads only its access rows of the
     # others.  With every file present they are read whole, so that a node
-    # holding a symbol outside the field is found.
-    present, _, _ = _read_nodes(args.dir, shape, mf, dict.fromkeys(range(n), ()))
+    # holding a symbol outside the field is found, and the code is built
+    # before that count is judged, so that a garbled manifest is named first.
+    present, _, _ = _read_nodes(directory, dict.fromkeys(range(n), ()))
     whole = len(present) == n
+    if not whole:
+        _one_missing([i for i in range(n) if i not in present], args.node)
+    spec = directory.spec()
     if whole:
-        present, _, nread = _read_nodes(args.dir, shape, mf)
-    missing = [i for i in range(n) if i not in present]
-    _one_missing(missing, args.node)
-    lost = missing[0]
+        present, _, nread = _read_nodes(directory)
+    lost = _one_missing([i for i in range(n) if i not in present], args.node)
 
-    spec = _spec(mf, field)
     plan = spec.plan.rebuild_plan(lost)
     if not whole:
-        present, _, nread = _read_nodes(args.dir, shape, mf, plan.access)
+        present, _, nread = _read_nodes(directory, plan.access)
         _one_missing([lost] + [i for i in plan.access if i not in present], args.node)
-    cols = [present.get(i) for i in range(spec.n)]
-    spec.plan.decode(cols, mf.stripe_count, [lost])
-    _write_nodes(args.dir, spec, cols, [lost])
+    cols = [present.get(i) for i in range(n)]
+    spec.plan.decode(cols, count, [lost])
+    directory.write(cols, [lost])
 
-    print(f"rebuilt node_{lost:02d} ({mf.stripe_count} stripes)")
-    if mf.stripe_count:
+    print(f"rebuilt node_{lost:02d} ({count} stripes)")
+    if count:
         for node in sorted(plan.access):
             print(f"  read node_{node:02d}: {plan.cells_in(node)} cells/stripe")
         print(f"ratio {_fraction_str(plan.ratio(spec))}")
     else:
         print("ratio 0 (empty payload)")
-    survivors = (n - 1) * mf.stripe_count * spec.p * files.symbol_width(field.q)
+    survivors = (n - 1) * count * spec.p * files.symbol_width(spec.field.q)
     print(f"read {nread} of {survivors} survivor bytes")
     return 0
 
 
 def _one_missing(missing, node):
-    """Check that rebuild has exactly one node to restore, the one named."""
+    """The one node rebuild restores, checked to be the one named."""
     if len(missing) != 1:
         raise CliError(f"{len(missing)} nodes missing; rebuild handles exactly one "
                        f"(use decode for multi-node loss)")
     if node is not None and node != missing[0]:
         raise CliError(f"node {node} file is present; node {missing[0]} is the missing one")
+    return missing[0]
 
 
 def cmd_decode(args):
-    mf, shape = _load_dir(args.dir)
-    n, _, field = shape
-    present, _, _ = _read_nodes(args.dir, shape, mf)
+    directory = files.EncodedDir(args.dir)
+    n, r = directory.n, directory.manifest.r
+    present, _, _ = _read_nodes(directory)
     absent = [i for i in range(n) if i not in present]
     named = set()
     if args.missing:
@@ -247,26 +187,26 @@ def cmd_decode(args):
             raise CliError("missing node index out of range")
     # nodes named as missing are regenerated even if a (distrusted) file exists
     missing = sorted(named | set(absent))
-    if len(missing) > mf.r:
-        print(f"{len(missing)} nodes lost; only {mf.r} recoverable", file=sys.stderr)
+    if len(missing) > r:
+        print(f"{len(missing)} nodes lost; only {r} recoverable", file=sys.stderr)
         return 2
     if not missing and not args.out:
         print("nothing to decode")
         return 0
 
-    spec = _spec(mf, field)
-    cols = [present.get(i) for i in range(spec.n)]
-    corrected = _repair(spec, mf, cols, missing)
+    spec = directory.spec()
+    cols = [present.get(i) for i in range(n)]
+    corrected = _repair(spec, directory, cols, missing)
     if corrected is None:
         return 2
     # The payload goes out before any node file is written: with e = r no
     # parity is left to check, and a stream that does not unpack, or an
     # --out the filesystem refuses (exit 3), must leave the directory as it was.
     if args.out:
-        payload = _decode_payload(spec, mf, cols)
+        payload = directory.payload(cols)
         with open(args.out, "wb") as fh:
             fh.write(payload)
-    _write_nodes(args.dir, spec, cols, sorted(set(missing) | set(corrected)))
+    directory.write(cols, sorted(set(missing) | set(corrected)))
     print("restored " + " ".join(files.node_filename(i) for i in missing))
     for node in corrected:
         print(f"corrected node_{node:02d}")
@@ -276,9 +216,9 @@ def cmd_decode(args):
 
 
 def cmd_scrub(args):
-    mf, shape = _load_dir(args.dir)
-    n, _, field = shape
-    present, invalid, _ = _read_nodes(args.dir, shape, mf)
+    directory = files.EncodedDir(args.dir)
+    n, r = directory.n, directory.manifest.r
+    present, invalid, _ = _read_nodes(directory)
     missing = [i for i in range(n) if i not in present and i not in invalid]
     if missing:
         raise CliError(f"{len(missing)} node files missing; scrub needs a complete "
@@ -286,16 +226,16 @@ def cmd_scrub(args):
 
     # Invalid nodes cannot even enter the syndrome computation: they are
     # repaired as erasures.
-    if len(invalid) > mf.r:
-        print(f"{len(invalid)} nodes hold invalid symbols; beyond {mf.r}-erasure repair")
+    if len(invalid) > r:
+        print(f"{len(invalid)} nodes hold invalid symbols; beyond {r}-erasure repair")
         return 2
-    spec = _spec(mf, field)
-    cols = [present.get(i) for i in range(spec.n)]
-    corrected = _repair(spec, mf, cols, invalid)
+    spec = directory.spec()
+    cols = [present.get(i) for i in range(n)]
+    corrected = _repair(spec, directory, cols, invalid)
     if corrected is None:
         return 2
     located = sorted(set(invalid) | set(corrected))
-    _write_nodes(args.dir, spec, cols, located)
+    directory.write(cols, located)
     if not located:
         print("no error")
     for node in located:

@@ -1,4 +1,5 @@
-"""On-disk layout for encoded directories.
+"""On-disk layout for encoded directories, and the only module that reads or
+writes one.
 
 A directory holds one binary `manifest` describing the code and payload, plus
 one raw symbol-stream file per node (node_00, node_01, ...).  Symbols are
@@ -8,9 +9,9 @@ A node file's bytes are the node column the plan's kernel runs on
 ones.  With T = stripe_count the column is row-major: row x of every stripe
 is the one contiguous extent col[x*T:(x+1)*T], so a reader that needs some
 rows reads only their extents.  The column form is defined here, by
-`symbol_width`, and the plan builds its columns with it.  The manifest alone
-gives each node file's size, so the files are checked before the code is
-built.
+`symbol_width`, and the plan builds its columns with it.  An `EncodedDir` is
+opened from its manifest alone, which gives each node file's size, so the
+files are checked (`read_columns`) before the code is built.
 
 Manifest layout: magic "ZZMDS1", version u8 (2: row-major node files), m/r/s
 u8 each, field token and scheme token (u8 length + ascii), vector list (u16 LE
@@ -31,6 +32,7 @@ from .perms import format_vector_list
 
 MAGIC = b"ZZMDS1"
 VERSION = 2
+TOKENS = ("<B", "<B", "<H")   # the length formats of the field, scheme and vector tokens
 
 
 class FormatError(ValueError):
@@ -49,16 +51,11 @@ class Manifest(NamedTuple):
 
 
 def write_manifest(path: str, mf: Manifest) -> None:
-    field_tok = mf.field_token.encode("ascii")
-    scheme_tok = mf.scheme.encode("ascii")
-    vec_tok = mf.vectors.encode("ascii")
-    blob = (MAGIC
-            + struct.pack("<BBBB", VERSION, mf.m, mf.r, mf.s)
-            + struct.pack("<B", len(field_tok)) + field_tok
-            + struct.pack("<B", len(scheme_tok)) + scheme_tok
-            + struct.pack("<H", len(vec_tok)) + vec_tok
-            + struct.pack("<Q", mf.payload_length)
-            + struct.pack("<I", mf.stripe_count))
+    blob = MAGIC + struct.pack("<BBBB", VERSION, mf.m, mf.r, mf.s)
+    for fmt, token in zip(TOKENS, (mf.field_token, mf.scheme, mf.vectors)):
+        token = token.encode("ascii")
+        blob += struct.pack(fmt, len(token)) + token
+    blob += struct.pack("<Q", mf.payload_length) + struct.pack("<I", mf.stripe_count)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -74,18 +71,12 @@ def read_manifest(path: str) -> Manifest:
         pos += 4
         if version != VERSION:
             raise FormatError(f"unsupported manifest version {version}")
-        (flen,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        field_token = blob[pos:pos + flen].decode("ascii")
-        pos += flen
-        (slen,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        scheme = blob[pos:pos + slen].decode("ascii")
-        pos += slen
-        (vlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        vectors = blob[pos:pos + vlen].decode("ascii")
-        pos += vlen
+        tokens = []
+        for fmt in TOKENS:
+            (size,) = struct.unpack_from(fmt, blob, pos)
+            pos += struct.calcsize(fmt)
+            tokens.append(blob[pos:pos + size].decode("ascii"))
+            pos += size
         (payload_length,) = struct.unpack_from("<Q", blob, pos)
         pos += 8
         (stripe_count,) = struct.unpack_from("<I", blob, pos)
@@ -94,37 +85,69 @@ def read_manifest(path: str) -> Manifest:
         raise FormatError(f"truncated or garbled manifest: {e}") from None
     if pos != len(blob):
         raise FormatError("trailing bytes after manifest")
-    return Manifest(m, r, s, field_token, scheme, vectors, payload_length, stripe_count)
+    return Manifest(m, r, s, *tokens, payload_length, stripe_count)
 
 
-def manifest_for(spec: CodeSpec, payload_length: int, stripe_count: int) -> Manifest:
-    return Manifest(spec.m, spec.r, spec.s, spec.field.token, spec.scheme,
-                    format_vector_list(spec.family.vectors),
-                    payload_length, stripe_count)
+class EncodedDir:
+    """An encoded directory at `path`, from its manifest file or the one
+    `encode` writes: n node files, the first k systematic, of T = `stripes`
+    stripes of p symbols of `field`.  The manifest is checked alone, before
+    any code is built, as a garbled m would build r^m rows; a bad one, or
+    none, is a FormatError."""
+
+    def __init__(self, path: str, manifest: Manifest = None):
+        self.path = path
+        if manifest is None and not os.path.exists(self.file("manifest")):
+            raise FormatError(f"no manifest in {path}")
+        try:
+            mf = read_manifest(self.file("manifest")) if manifest is None else manifest
+            if mf.r < 2 or mf.m < 1 or mf.s < 1:
+                raise FormatError(f"bad geometry m={mf.m} r={mf.r} s={mf.s}")
+            field = field_from_token(mf.field_token)
+            k, p = len(mf.vectors.split(",")) * mf.s, mf.r ** mf.m
+            if mf.stripe_count != stripes_for(mf.payload_length, field.q, p * k):
+                raise FormatError(f"stripe count {mf.stripe_count} does not fit "
+                                  f"{mf.payload_length} payload bytes")
+        except ValueError as e:
+            raise FormatError(f"bad manifest: {e}") from None
+        self.manifest, self.field, self.stripes = mf, field, mf.stripe_count
+        self.n, self.p, self.k = k + mf.r, p, k
+
+    def file(self, name: str) -> str:
+        return os.path.join(self.path, name)
+
+    def spec(self) -> CodeSpec:
+        """The manifest's code, built once the node files have been counted."""
+        mf = self.manifest
+        try:
+            spec = build_code(mf.scheme, family="explicit", vectors=mf.vectors,
+                              m=mf.m, r=mf.r, s=mf.s, field=self.field)
+            if spec.m != mf.m or spec.r != mf.r:
+                raise FormatError("manifest geometry disagrees with its vector list")
+        except ValueError as e:
+            raise FormatError(f"bad manifest: {e}") from None
+        return spec
+
+    def write(self, cols, nodes) -> None:
+        """Write the node files of `nodes` from the node columns `cols`."""
+        for node in nodes:
+            write_node_file(self.file(node_filename(node)), cols[node])
+
+    def payload(self, cols) -> bytes:
+        """The payload, from the k systematic node columns of `cols`."""
+        return unpack(cols[:self.k], self.field.q, self.p, self.stripes,
+                      self.manifest.payload_length)
 
 
-def node_shape(mf: Manifest) -> tuple:
-    """The node files' shape (n nodes of p symbols a stripe, over `field`),
-    checked from the manifest alone, before any code is built: a garbled m
-    would otherwise build a code of r^m rows first."""
-    if mf.r < 2 or mf.m < 1 or mf.s < 1:
-        raise FormatError(f"bad geometry m={mf.m} r={mf.r} s={mf.s}")
-    field = field_from_token(mf.field_token)
-    vectors = len(mf.vectors.split(","))
-    p = mf.r ** mf.m
-    if mf.stripe_count != stripes_for(mf.payload_length, field.q, p * vectors * mf.s):
-        raise FormatError(f"stripe count {mf.stripe_count} does not fit "
-                          f"{mf.payload_length} payload bytes")
-    return vectors * mf.s + mf.r, p, field
-
-
-def spec_from_manifest(mf: Manifest, field) -> CodeSpec:
-    """The code of a manifest whose `node_shape` gave `field`."""
-    spec = build_code(mf.scheme, family="explicit", vectors=mf.vectors,
-                      m=mf.m, r=mf.r, s=mf.s, field=field)
-    if spec.m != mf.m or spec.r != mf.r:
-        raise FormatError("manifest geometry disagrees with its vector list")
-    return spec
+def encode(path: str, spec: CodeSpec, data: bytes) -> EncodedDir:
+    """Encode the payload at `path`: the node files, then the manifest."""
+    cols, count = pack(data, spec.field.q, spec.p, spec.k)
+    out = EncodedDir(path, Manifest(spec.m, spec.r, spec.s, spec.field.token, spec.scheme,
+                                    format_vector_list(spec.family.vectors), len(data), count))
+    os.makedirs(path, exist_ok=True)
+    out.write(cols + spec.plan.encode(cols, count), range(spec.n))
+    write_manifest(out.file("manifest"), out.manifest)
+    return out
 
 
 # -- symbol packing ----------------------------------------------------------
@@ -164,22 +187,19 @@ def as_column(q: int, symbols):
     return bytearray(symbols) if symbol_width(q) == 1 else array("H", symbols)
 
 
-def _file_bytes(col) -> bytes:
-    """A node column as its node file holds it."""
+def _swapped(col):
+    """A node column in its node file's byte order, or the reverse: the
+    column itself, or a byte-swapped copy of 2-byte symbols on a big-endian
+    machine."""
     if isinstance(col, array) and sys.byteorder == "big":
         col = array("H", col)
         col.byteswap()
-    return bytes(col)
+    return col
 
 
 def _file_symbols(blob: bytes, q: int):
     """A node file's bytes as symbols a node column slice takes."""
-    if symbol_width(q) == 1:
-        return blob
-    col = array("H", blob)
-    if sys.byteorder == "big":
-        col.byteswap()
-    return col
+    return blob if symbol_width(q) == 1 else _swapped(array("H", blob))
 
 
 def bytes_to_symbols(data: bytes, q: int):
@@ -207,7 +227,7 @@ def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
     for j in range(d):
         digit = as_column(q, symbols[j:nbytes * d:d])
         if symbol_width(q) == 2:
-            wide = _file_bytes(digit)
+            wide = _swapped(digit)
         else:
             wide = bytearray(2 * nbytes)
             wide[0::2] = digit
@@ -218,13 +238,40 @@ def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
     return wide[0::2]
 
 
+def pack(data: bytes, q: int, p: int, k: int):
+    """The payload's k systematic node columns and stripe count T: stripe t
+    of node j holds symbols [t*cap + j*p, t*cap + (j+1)*p) of its
+    `bytes_to_symbols`, zero-padded to whole stripes of cap = p * k."""
+    symbols = bytes_to_symbols(data, q)
+    cap = p * k
+    count = stripes_for(len(data), q, cap)
+    symbols += zero_column(q, count * cap - len(symbols))
+    # row x of node j, its extent [x*T, (x+1)*T), is every cap-th symbol from j*p + x
+    cols = [zero_column(q, count * p) for _ in range(k)]
+    for j, col in enumerate(cols):
+        for x in range(p):
+            col[x * count:(x + 1) * count] = symbols[j * p + x::cap]
+    return cols, count
+
+
+def unpack(cols, q: int, p: int, count: int, nbytes: int) -> bytes:
+    """The nbytes payload bytes that `pack` laid out in `cols` over `count` stripes."""
+    cap = p * len(cols)
+    symbols = zero_column(q, count * cap)
+    for j, col in enumerate(cols):
+        for x in range(p):
+            symbols[j * p + x::cap] = col[x * count:(x + 1) * count]
+    return symbols_to_bytes(symbols, q, nbytes)
+
+
 def node_filename(i: int) -> str:
     return f"node_{i:02d}"
 
 
-def write_node_file(path: str, symbols, q: int) -> None:
+def write_node_file(path: str, col) -> None:
+    """Write a node column to its node file, as it is."""
     with open(path, "wb") as fh:
-        fh.write(_file_bytes(as_column(q, symbols)))
+        fh.write(_swapped(col))
 
 
 def _runs(rows):
@@ -238,26 +285,25 @@ def _runs(rows):
     return runs
 
 
-def read_columns(directory: str, shape: tuple, stripe_count: int, rows=None):
-    """Node files the kernels can use: ({node: node column}, {node: problem
-    text}, bytes read), for the (n, p, field) of `node_shape`.
+def read_columns(directory: EncodedDir, rows=None):
+    """The directory's node files the kernels can use: ({node: node column},
+    {node: problem text}, bytes read).
 
     `rows` ({node: sorted rows}) names the nodes to read and, of each, the
     rows: one os.pread per run of consecutive rows, into a column whose other
     rows are zero.  No rows only sizes the file.  Without `rows` every node
     file is read whole, in one os.pread.  A file with a partial symbol, other
-    than stripe_count * p symbols, or a symbol outside the field in the bytes
+    than T * p symbols, or a symbol outside the field in the bytes
     read has a problem instead: the kernels index columns by row offset and
     tables by symbol, and check neither.
     """
-    n, p, field = shape
-    q, t = field.q, stripe_count
+    p, field, t, q = directory.p, directory.field, directory.stripes, directory.field.q
     width = symbol_width(q)
     valid = bytes(range(q)) if width == 1 else None
     columns, problems, nread = {}, {}, 0
-    for i in range(n) if rows is None else sorted(rows):
+    for i in range(directory.n) if rows is None else sorted(rows):
         try:
-            fh = open(os.path.join(directory, node_filename(i)), "rb", buffering=0)
+            fh = open(directory.file(node_filename(i)), "rb", buffering=0)
         except FileNotFoundError:
             continue
         with fh:

@@ -31,9 +31,9 @@ the column.
 This is the library's interface to every operation, for any number of
 stripes (one stripe is T = 1).  Columns come from `files.zero_column` or
 `files.as_column` and must hold field symbols; lost nodes are None.  The
-plan checks neither the column form nor the symbols (the command line's
-reader, `files.read_columns`, does), and `decode` and `repair` fill in
-`cols` in place.
+plan checks neither the column form nor the symbols (`files.read_columns`,
+the one reader of an encoded directory's node files, does), and `decode`
+and `repair` fill in `cols` in place.
 
 A decode of several nodes runs syndrome first.  With the erased columns
 read as zero, the syndrome cell of each surviving zigzag set is the known

@@ -210,6 +210,46 @@ def parity_by_definition(spec, info, sidx):
     return out
 
 
+def digits_per_byte(q):
+    """How many base-q digits carry one byte: the least d with q**d >= 256."""
+    d = 1
+    while q ** d < 256:
+        d += 1
+    return d
+
+
+def node_files_by_definition(spec, payload):
+    """The node files `encode` should write for `payload`, built without
+    `zzmds.files`: each byte as its d base-q digits by divmod, most
+    significant first; stripe t holding digits [t*k*p, (t+1)*k*p), column j
+    the p of them from j*p; parities by `parity_by_definition`; each node
+    file row-major (row x of stripe t is symbol x*T + t), one byte a symbol
+    for q <= 256, two little-endian bytes above."""
+    q, p, k = spec.field.q, spec.p, spec.k
+    d = digits_per_byte(q)
+    digits = []
+    for byte in payload:
+        group = []
+        for _ in range(d):
+            byte, digit = divmod(byte, q)
+            group.append(digit)
+        digits += reversed(group)
+    cap = p * k
+    count = -(-len(digits) // cap)
+    digits += [0] * (count * cap - len(digits))
+    nodes = [[0] * (p * count) for _ in range(spec.n)]
+    for t in range(count):
+        info = [[digits[t * cap + j * p + x] for j in range(k)] for x in range(p)]
+        stripe = [[info[x][j] for x in range(p)] for j in range(k)]
+        stripe += [parity_by_definition(spec, info, sidx) for sidx in range(spec.r)]
+        for j, column in enumerate(stripe):
+            for x, v in enumerate(column):
+                nodes[j][x * count + t] = v
+    width = 1 if q <= 256 else 2
+    return {f"node_{j:02d}": b"".join(v.to_bytes(width, "little") for v in col)
+            for j, col in enumerate(nodes)}
+
+
 def run_by_cells(spec, gathers, cols, nstripes):
     """`CodePlan.run` one stripe and one cell at a time, over the structural
     field: output row x of stripe t is the sum of c * cols[node][row*T + t]

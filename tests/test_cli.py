@@ -4,10 +4,13 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from zzmds import cli, files
@@ -221,8 +224,8 @@ def test_rebuild_with_truncated_survivor(workdir, capsys):
     os.remove(node_path(workdir, 1))
     rc = cli.main(["rebuild", str(workdir / "nodes")])
     err = capsys.readouterr().err
-    assert rc in (2, 3)
-    assert "node_02" in err and "Traceback" not in err
+    assert rc == 3
+    assert "node_02 holds" in err and "2 nodes missing" in err and "Traceback" not in err
 
 
 def test_decode_with_inflated_stripe_count(workdir, capsys):
@@ -233,8 +236,9 @@ def test_decode_with_inflated_stripe_count(workdir, capsys):
     write(manifest, bytes(blob))
     os.remove(node_path(workdir, 0))
     rc = cli.main(["decode", str(workdir / "nodes"), "--out", str(workdir / "back.bin")])
-    assert rc in (2, 3)
-    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "bad manifest: stripe count" in err and "Traceback" not in err
 
 
 def test_scrub_restores_truncated_node(workdir, capsys):
@@ -595,45 +599,51 @@ def test_encode_golden_format(tmp_path, capsys, config):
     assert got == GOLDEN_ENCODE[config]
 
 
-def node_files_by_definition(spec, payload):
-    """The node files `encode` should write for `payload`, built without
-    `zzmds.files`: each byte as its d base-q digits by divmod, most
-    significant first; stripe t holding digits [t*k*p, (t+1)*k*p), column j
-    the p of them from j*p; parities by `oracles.parity_by_definition`; each
-    node file row-major (row x of stripe t is symbol x*T + t), one byte a
-    symbol."""
-    q, p, k = spec.field.q, spec.p, spec.k
-    d = 1
-    while q ** d < 256:
-        d += 1
-    digits = []
-    for byte in payload:
-        group = []
-        for _ in range(d):
-            byte, digit = divmod(byte, q)
-            group.append(digit)
-        digits += reversed(group)
-    cap = p * k
-    count = -(-len(digits) // cap)
-    digits += [0] * (count * cap - len(digits))
-    nodes = [[0] * (p * count) for _ in range(spec.n)]
-    for t in range(count):
-        info = [[digits[t * cap + j * p + x] for j in range(k)] for x in range(p)]
-        stripe = [[info[x][j] for x in range(p)] for j in range(k)]
-        stripe += [oracles.parity_by_definition(spec, info, sidx) for sidx in range(spec.r)]
-        for j, column in enumerate(stripe):
-            for x, v in enumerate(column):
-                nodes[j][x * count + t] = v
-    return {f"node_{j:02d}": bytes(col) for j, col in enumerate(nodes)}
-
-
 @pytest.mark.parametrize("config", list(GOLDEN_ENCODE), ids=["cons3", "r3", "weightw"])
 def test_encode_matches_definition(tmp_path, capsys, config):
     # the golden payload's node files, derived apart from the packer and writer
     out, written = encode_config(tmp_path, config, seed=3000)
     spec = cli.parse_config(str(tmp_path / "code.cfg"))
     payload = read(tmp_path / "p.bin")
-    assert written == node_files_by_definition(spec, payload)
+    assert written == oracles.node_files_by_definition(spec, payload)
+
+
+# One code of each scheme, over 1-byte fields with d = 6, 3, 3 and 1 digits a
+# byte and over gf(257)'s 2-byte symbols.
+LAYOUT_CONFIGS = {
+    "cons3-gf3": "family=standard\nm=2\nscheme=cons3\n",
+    "r3-gf11": "family=standard\nm=3\nr=3\nscheme=r3\n",
+    "weightw-gf9": "family=weightw\nm=6\nw=3\nscheme=weightw\n",
+    "cons4-gf256": "family=standard\nm=2\ns=2\nscheme=cons4\nfield=gf(2^8)\n",
+    "cons4-gf257": "family=standard\nm=1\ns=2\nscheme=cons4\nfield=gf(257)\n",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_payload_layout_through_the_cli(data):
+    # Any payload length up to three stripes and a byte: encode writes the
+    # node files by definition, and decode --out, with r systematic nodes
+    # lost, gives the payload back.
+    name = data.draw(st.sampled_from(sorted(LAYOUT_CONFIGS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, src, back, out = (os.path.join(tmp, f) for f in ("c.cfg", "p.bin", "b.bin", "n"))
+        write(cfg, LAYOUT_CONFIGS[name])
+        spec = cli.parse_config(cfg)
+        cap, d = spec.p * spec.k, oracles.digits_per_byte(spec.field.q)
+        size = data.draw(st.integers(0, 3 * cap * d + 1), label="payload bytes")
+        payload = random.Random(size).randbytes(size)
+        write(src, payload)
+        assert cli.main(["encode", src, "--config", cfg, "--out", out]) == 0
+        written = {f: read(os.path.join(out, f)) for f in os.listdir(out) if f != "manifest"}
+        assert written == oracles.node_files_by_definition(spec, payload)
+        lost = data.draw(st.lists(st.integers(0, spec.k - 1), min_size=spec.r,
+                                  max_size=spec.r, unique=True), label="lost nodes")
+        for node in lost:
+            os.remove(os.path.join(out, node_filename(node)))
+        assert cli.main(["decode", out, "--out", back]) == 0
+        assert read(back) == payload
+        assert {f: read(os.path.join(out, f)) for f in written} == written
 
 
 def test_empty_payload(tmp_path, capsys):
@@ -915,7 +925,7 @@ def test_symbol_packing_roundtrip(tmp_path):
         noise = random.Random(q).randbytes(1000)
         assert zf.symbols_to_bytes(zf.bytes_to_symbols(noise, q), q, 1000) == noise
         path = tmp_path / f"stream_{q}"
-        zf.write_node_file(str(path), symbols, q)
+        zf.write_node_file(str(path), symbols)
         width = zf.symbol_width(q)
         assert read(path) == b"".join(v.to_bytes(width, "little") for v in symbols)
     # a symbol group that decodes past one byte is corruption
@@ -1015,8 +1025,23 @@ def test_garbled_m_over_empty_node_files_fails_at_once(tmp_path, capsys, command
     assert time.perf_counter() - start < 0.1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert "bad manifest" in err
     assert {name: read(out / name) for name in os.listdir(out)} == before
     assert not back.exists()
+
+
+@pytest.mark.parametrize("command", ["rebuild", "scrub"])
+def test_unknown_scheme_in_full_directory_is_named(workdir, capsys, command):
+    # every node file present and of the right size: the manifest's fault
+    # is named, not the count of lost nodes
+    nodes = workdir / "nodes"
+    rewrite_manifest(nodes, scheme="nosuch")
+    before = {name: read(nodes / name) for name in os.listdir(nodes)}
+    capsys.readouterr()
+    assert cli.main([command, str(nodes)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: bad manifest: unknown scheme 'nosuch'\n"
+    assert {name: read(nodes / name) for name in os.listdir(nodes)} == before
 
 
 @pytest.mark.parametrize("case", ["manifest-dir", "node-dir", "encode-out-file",

@@ -1,5 +1,6 @@
 """Checks on the repository itself: `src/` holds only code the package runs,
-and the README's library example runs as written."""
+only `zzmds.files` knows the encoded directory's format, and the README's
+library example runs as written."""
 
 import ast
 import re
@@ -80,6 +81,24 @@ def unused_definitions():
 
 def test_src_holds_no_unused_definitions():
     assert unused_definitions() == []
+
+
+# What knows the encoded directory's format: its reads and writes, its
+# directories, its manifest and node files, and the payload's digits.
+FORMAT_NAMES = {"pread", "makedirs", "read_manifest", "write_manifest", "write_node_file",
+                "bytes_to_symbols", "symbols_to_bytes"}
+
+
+def test_only_files_knows_the_directory_format():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "files":
+            tree = ast.parse(path.read_text(), str(path))
+            names = [ref for ref, _, _ in references(tree, {})]
+            names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names]
+            found |= {f"{path.stem}: {name}" for name in FORMAT_NAMES.intersection(names)}
+    assert sorted(found) == []
 
 
 def test_readme_library_example_runs():

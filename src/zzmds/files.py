@@ -205,13 +205,15 @@ def _file_symbols(blob: bytes, q: int):
 def bytes_to_symbols(data: bytes, q: int):
     """Each byte as its d = digits_per_byte(q) base-q digits, most
     significant first: a node column of len(data) * d symbols, built by one
-    translate per digit position."""
+    translate per digit position.  Digit j's table is a run of each of
+    0..q-1, q**(d-1-j) long, cycled over the 256 byte values."""
     d = digits_per_byte(q)
     if d == 1:
         return as_column(q, list(data))
     out = bytearray(len(data) * d)
     for j in range(d):
-        out[j::d] = data.translate(bytes(b // q ** (d - 1 - j) % q for b in range(256)))
+        runs = b"".join(bytes((v,)) * q ** (d - 1 - j) for v in range(q))
+        out[j::d] = data.translate((runs * -(-256 // len(runs)))[:256])
     return out
 
 

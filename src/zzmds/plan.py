@@ -21,12 +21,13 @@ term is the same in every stripe, so the kernel applies it once to the row
 vector of all stripes.  Encode, syndrome, rebuild (the decode of one node)
 and decode are all gather lists; they differ only in the cells they read and
 the coefficients they read them with.  `repair` is decode plus the check of
-the parity left over, and locates a corrupted column by trial decodes that
-the syndromes prune.  With nothing erased, syndrome 0 is nonzero exactly on
-a corrupted systematic column's bad rows, and every other syndrome only on
-the sets that its zigzag permutation maps them to, while a corrupted parity
-leaves only its own syndrome nonzero; so the syndromes' nonzero cells name
-the column.
+the parity left over.  With nothing erased, the syndromes locate and correct
+a corrupted column themselves: syndrome 0 is a corrupted systematic
+column's error, and every other syndrome that error moved by the column's
+zigzag permutation and scaled by its coefficients, while a corrupted parity
+leaves only its own syndrome nonzero, the error negated.  So a few gathers
+over the syndromes check a column and subtract its error, for all stripes
+at once.  Next to erasures, a corrupted column is located by trial decodes.
 
 This is the library's interface to every operation, for any number of
 stripes (one stripe is T = 1).  Columns come from `files.zero_column` or
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import or_, xor
 from typing import NamedTuple
 
@@ -312,43 +313,37 @@ class CodePlan:
     def repair(self, cols, nstripes: int, erased=()):
         """Decode the e erased columns of `cols`, then, while e < r, check
         every stripe with the parity left over.  While e + 2 <= r, each
-        inconsistent stripe is corrected in place by the first surviving node
-        j whose decode with the erasures makes it consistent; two such answers
-        would differ in at most e + 2 < r + 1 columns, so there is only one.
-        Each candidate j is tried once, on the inconsistent stripes not yet
-        corrected, gathered into columns of their own.  With nothing erased,
-        the syndromes first rule out every (j, stripe) pair whose trial could
-        not pass (`_explained`), so j is tried only on the stripes it could
-        explain, and not at all when there are none.  Returns
-        ({stripe: corrected node}, the first uncorrectable stripe or None)."""
+        inconsistent stripe is corrected in place by the surviving node j
+        whose decode with the erasures makes it consistent, if there is one;
+        two such answers would differ in at most e + 2 < r + 1 columns, so
+        there is only one.  With nothing erased, the syndromes give j and its
+        error (`_correct`).  Next to erasures, each candidate j is tried in
+        node order, once, on the inconsistent stripes not yet corrected,
+        gathered into columns of their own.  Returns ({stripe: corrected
+        node}, the first uncorrectable stripe or None)."""
         erased = tuple(erased)
         e = len(erased)
         self.decode(cols, nstripes, erased)
-        fixed = {}
         if e >= self.r:
-            return fixed, None
+            return {}, None
         syndromes = self.syndrome(cols, nstripes)
-        bad = self._inconsistent(syndromes, nstripes)
-        if not bad or e + 2 > self.r:
-            return fixed, (bad[0] if bad else None)
         if not e:
-            explained = self._explained(syndromes, nstripes)
+            return self._correct(cols, syndromes, nstripes)
+        fixed, bad = {}, self._stripes_in(self._inconsistent(syndromes, nstripes), nstripes)
+        if e + 2 > self.r:
+            return fixed, (bad[0] if bad else None)
         for j in range(self.n):
             if not bad:
                 break
             if j in erased:
                 continue
-            tries = bad
-            if not e:
-                tries = [t for t in bad if explained[j][t]]
-                if not tries:
-                    continue
-            nodes, count = erased + (j,), len(tries)
-            trial = [None if node in nodes else self._stripes(col, tries, nstripes)
+            nodes, count = erased + (j,), len(bad)
+            trial = [None if node in nodes else self._stripes(col, bad, nstripes)
                      for node, col in enumerate(cols)]
             self.decode(trial, count, nodes)
-            still = set(self._inconsistent(self.syndrome(trial, count), count))
-            for i, t in enumerate(tries):
+            still = set(self._stripes_in(self._inconsistent(self.syndrome(trial, count), count),
+                                         count))
+            for i, t in enumerate(bad):
                 if i not in still:
                     for node in nodes:
                         cols[node][t::nstripes] = trial[node][i::count]
@@ -356,20 +351,86 @@ class CodePlan:
             bad = [t for t in bad if t not in fixed]
         return fixed, (bad[0] if bad else None)
 
-    def _inconsistent(self, syndromes, nstripes: int) -> list:
-        """The stripes with a nonzero syndrome, in order.  Every row extent of
-        every syndrome is read as one big int and OR-ed into one, whose lane t
-        is nonzero exactly when stripe t is inconsistent."""
+    def _correct(self, cols, syndromes, nstripes: int):
+        """`repair` with nothing erased, from the syndromes alone.  An error
+        E in systematic column j leaves syndrome 0 equal to E (parity 0's
+        coefficients are 1 and its zigzag the identity), and syndrome s >= 1
+        at set z equal to c * E[y], for the row y of j that feeds set z with
+        coefficient c.  So j explains stripe t exactly when every check
+        syndrome s[z] - c * syndrome 0[y] is zero there, and subtracting
+        syndrome 0 from j corrects it.  An error in parity k + s leaves only
+        syndrome s nonzero, equal to -E, so adding syndrome s corrects it.
+
+        `_explained` rules out most (node, stripe) pairs first, and leaves
+        each node the lanes it may explain.  Only the sets nonzero in those
+        lanes are checked, and only the rows nonzero there corrected: one
+        gather list per parity for the checks and one for the correction,
+        each over every stripe, of the error cut to those lanes."""
+        left = self._inconsistent(syndromes, nstripes)
+        fixed = {}
+        if not left:
+            return fixed, None
+        k, t, neg = self.k, nstripes, self.neg
+        masks = self._lane_masks(syndromes, nstripes)
+        for j, lanes in enumerate(self._explained(masks)):
+            lanes &= left
+            if j < k and lanes:
+                checks = [[((sidx, z, 1), (0, y, neg[c]))
+                           for z, (y, c) in enumerate(zip(*self._columns[sidx][j]))
+                           if masks[sidx][z] & lanes]
+                          for sidx in range(1, self.r)]
+                lanes &= ~self._inconsistent(self.run(checks, syndromes, t), t)
+            if not lanes:
+                continue
+            sidx, sign = (0, neg[1]) if j < k else (j - k, 1)
+            rows = [x for x, mask in enumerate(masks[sidx]) if mask & lanes]
+            error = self._select(syndromes[sidx], lanes, t)
+            out, = self.run([[((0, x, 1), (1, x, sign)) for x in rows]], [cols[j], error], t)
+            for i, x in enumerate(rows):
+                cols[j][x * t:(x + 1) * t] = out[i * t:(i + 1) * t]
+            fixed.update(dict.fromkeys(self._stripes_in(lanes, t), j))
+            left &= ~lanes
+        bad = self._stripes_in(left, t)
+        return fixed, (bad[0] if bad else None)
+
+    def _inconsistent(self, columns, nstripes: int) -> int:
+        """One int whose lane t (a symbol's bytes) is 1 when stripe t of some
+        column holds a nonzero cell and 0 otherwise: of syndromes, the
+        inconsistent stripes.  Every row extent of every column is read as
+        one big int and OR-ed into one; when that is zero, so is the
+        answer."""
         width = symbol_width(self.field.q)
         size = nstripes * width
         acc = 0
-        for s in syndromes:
-            extents = memoryview(s).cast("B")
+        for col in columns:
+            extents = memoryview(col).cast("B")
             for x in range(self.p):
                 acc |= int.from_bytes(extents[x * size:(x + 1) * size], "little")
-        for _ in range(width - 1):
-            acc |= acc >> 8       # a lane's high byte into its low byte
-        return [t for t, v in enumerate(acc.to_bytes(size, "little")[::width]) if v]
+        if not acc:
+            return 0
+        acc = int.from_bytes(acc.to_bytes(size, "little").translate(_NONZERO), "little")
+        for i in range(1, width):
+            acc |= acc >> 8 * i
+        return acc & int.from_bytes((b"\1" + bytes(width - 1)) * nstripes, "little")
+
+    def _stripes_in(self, lanes: int, nstripes: int) -> list:
+        """The stripes whose lane is 1 in `lanes`, in order."""
+        if not lanes:
+            return []
+        width = symbol_width(self.field.q)
+        flags = lanes.to_bytes(nstripes * width, "little")[::width]
+        return list(compress(range(nstripes), flags))
+
+    def _select(self, col, lanes: int, nstripes: int):
+        """The column holding col's stripes whose lane is 1 in `lanes`, and
+        zero elsewhere: one AND of big ints over the whole column."""
+        width = symbol_width(self.field.q)
+        row = (lanes * (256 ** width - 1)).to_bytes(nstripes * width, "little")
+        blob = memoryview(col).cast("B")
+        kept = int.from_bytes(row * self.p, "little") & int.from_bytes(blob, "little")
+        out = zero_column(self.field.q, len(col))
+        memoryview(out).cast("B")[:] = kept.to_bytes(len(blob), "little")
+        return out
 
     def _lane_masks(self, syndromes, nstripes: int) -> list:
         """masks[s][z]: syndrome s at set z of every stripe as one int whose
@@ -390,34 +451,27 @@ class CodePlan:
             masks.append(rows)
         return masks
 
-    def _explained(self, syndromes, nstripes: int) -> list:
-        """Per node, one byte per stripe, nonzero on the inconsistent stripes
-        whose syndromes (nothing erased) it could explain as its one
-        corrupted column; a trial of the node on any other stripe cannot
-        pass.  The tests below are big-int operations on `_lane_masks`.
-
-        An error E in systematic column j leaves syndrome 0 equal to E (its
-        coefficients are 1), and syndrome s >= 1 at set z equal to c * E[y],
-        for the row y of j that feeds set z with coefficient c, never zero.
-        So j explains stripe t only if, in lane t, masks[s][z] equals
-        masks[0][y] for every s >= 1 and z.  Parity k + s explains stripe t
-        only if every other syndrome is zero there."""
-        masks = self._lane_masks(syndromes, nstripes)
+    def _explained(self, masks) -> list:
+        """Per node, a lane int as `_inconsistent` gives: 1 on the
+        inconsistent stripes whose syndromes (nothing erased) it could
+        explain as its one corrupted column, judged by big-int operations on
+        their `_lane_masks` alone.  Systematic column j could only if, in
+        lane t, masks[s][z] equals masks[0][y] for every s >= 1 and z, y
+        being the row of j that feeds set z (`_correct`; its coefficient is
+        never zero), and `_correct` then checks the values.  Parity k + s
+        explains stripe t exactly when every other syndrome is zero there."""
         anywhere = [reduce(or_, rows) for rows in masks]
         inconsistent, syndrome0 = reduce(or_, anywhere), masks[0]
         ruled_out = []
         for j in range(self.k):
             acc = 0
             for sidx in range(1, self.r):
-                for mask, members in zip(masks[sidx], self.parity[sidx]):
-                    _, y, _ = members[j]
+                for mask, y in zip(masks[sidx], self._columns[sidx][j][0]):
                     acc |= mask ^ syndrome0[y]
             ruled_out.append(acc)
         for sidx in range(self.r):
             ruled_out.append(reduce(or_, anywhere[:sidx] + anywhere[sidx + 1:]))
-        width = symbol_width(self.field.q)
-        return [(inconsistent & ~acc).to_bytes(nstripes * width, "little")[::width]
-                for acc in ruled_out]
+        return [inconsistent & ~acc for acc in ruled_out]
 
     def _stripes(self, col, stripes, nstripes: int):
         """The column of the given stripes of `col`, a column of nstripes."""

@@ -1,5 +1,6 @@
-"""Closed-form rebuild-ratio predictions and reconciliation with measured
-access counts.  The prediction is closed-form for every pair of columns, the
+"""What the data commands never run: closed-form rebuild-ratio predictions,
+their reconciliation with measured access counts, and the exhaustive MDS
+verifier.  The prediction is closed-form for every pair of columns, the
 designated zero vector's included; nothing here walks the rows.  Every ratio
 is an exact Fraction; nothing here floats.
 """
@@ -8,10 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .construct import CodeSpec
 from .perms import pair_constant
+
+# The MDS verifier solves one system per erasure pattern and the measured
+# ratio walks every systematic target; both stay at desk scale.
+MAX_DESK_CELLS = 4096
 
 
 def lower_bound_ratio(n: int, k: int) -> Fraction:
@@ -75,11 +82,6 @@ def measure_rebuild(spec: CodeSpec):
     return plans, average
 
 
-# Rebuild accounting touches every systematic target; skip it by default on
-# instances past desk scale and report the formula value alone.
-MAX_MEASURE_CELLS = 4096
-
-
 @dataclass
 class RatioReport:
     spec: CodeSpec
@@ -128,7 +130,7 @@ class RatioReport:
 
 
 def ratio_report(spec: CodeSpec) -> RatioReport:
-    if spec.p * spec.k <= MAX_MEASURE_CELLS:
+    if spec.p * spec.k <= MAX_DESK_CELLS:
         plans, measured = measure_rebuild(spec)
         cells = [plan.cells_read for plan in plans]
     else:
@@ -141,3 +143,31 @@ def ratio_report(spec: CodeSpec) -> RatioReport:
         lower_bound=lower_bound_ratio(spec.n, spec.k),
         per_target_cells=cells,
     )
+
+
+class MdsReport(NamedTuple):
+    is_mds: bool
+    failing_pattern: tuple  # node indices, or None
+    patterns_checked: int
+
+    def __bool__(self):
+        return self.is_mds
+
+
+def verify_mds(spec: CodeSpec) -> MdsReport:
+    """Exhaustively check decodability of every pattern of at most r erasures.
+
+    Each pattern is judged by the rank of its surviving parity equations
+    (`CodePlan.decodable`), the same equations and elimination the decoder
+    solves; `tests/oracles.py` checks the verdicts by exhaustive search.
+    """
+    if spec.p * spec.k > MAX_DESK_CELLS:
+        raise ValueError(f"instance too large for exhaustive verification "
+                         f"(p*k = {spec.p * spec.k} > {MAX_DESK_CELLS})")
+    checked = 0
+    for size in range(1, spec.r + 1):
+        for pattern in combinations(range(spec.n), size):
+            checked += 1
+            if not spec.plan.decodable(pattern):
+                return MdsReport(False, pattern, checked)
+    return MdsReport(True, None, checked)

@@ -2,6 +2,7 @@
 rebuild or decode lost nodes, scrub for corruption, verify MDS, report ratios.
 
 Exit codes: 0 ok, 1 failed verification, 2 uncorrectable, 3 config/usage error.
+Only `verify`, `ratio` and an unproven `encode` import `zzmds.analysis`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import sys
 from functools import cache
 
 from . import files
-from .construct import (MAX_VERIFY_CELLS, CodeSpecError, block_width, build_code,
-                        default_field, verify_mds)
+from .construct import CodeSpecError, build_code, default_field
 from .gf import FieldError, field_from_token
 from .plan import SingularMatrixError
 
@@ -96,10 +96,11 @@ def _fraction_str(fr):
 def _proven(spec, values: dict) -> bool:
     """Whether a config stays in its construction's proven setting, where
     the code is MDS by the paper: a family the scheme builds itself, over
-    the scheme's default field."""
+    the scheme's default field (a built weightw family's w is the weight of
+    any of its vectors)."""
     return values.get("family") != "explicit" and (
         "field" not in values or spec.field == default_field(
-            spec.scheme, s=spec.s, m=spec.m, w=block_width(spec.family)))
+            spec.scheme, s=spec.s, m=spec.m, w=spec.family.vectors[0].weight))
 
 
 def cmd_encode(args):
@@ -107,11 +108,13 @@ def cmd_encode(args):
     spec = _config_spec(values)
     # Outside the proven setting, refuse a code that `verify` shows is not
     # MDS; one too large to check is encoded unchecked.
-    if not _proven(spec, values) and spec.p * spec.k <= MAX_VERIFY_CELLS:
-        report = verify_mds(spec)
-        if not report.is_mds:
-            raise CliError(f"code is not MDS: erasure pattern {list(report.failing_pattern)} "
-                           f"is not decodable")
+    if not _proven(spec, values):
+        from . import analysis
+        if spec.p * spec.k <= analysis.MAX_DESK_CELLS:
+            report = analysis.verify_mds(spec)
+            if not report.is_mds:
+                raise CliError(f"code is not MDS: erasure pattern "
+                               f"{list(report.failing_pattern)} is not decodable")
     try:
         with open(args.input, "rb") as fh:
             data = fh.read()
@@ -244,9 +247,10 @@ def cmd_scrub(args):
 
 
 def cmd_verify(args):
+    from . import analysis
     spec = parse_config(args.config)
     try:
-        report = verify_mds(spec)
+        report = analysis.verify_mds(spec)
     except ValueError as e:
         raise CliError(str(e))
     if report.is_mds:
@@ -258,7 +262,7 @@ def cmd_verify(args):
 
 
 def cmd_ratio(args):
-    from . import analysis   # only this command needs it; the others skip compiling it
+    from . import analysis
     spec = parse_config(args.config)
     report = analysis.ratio_report(spec)
     print(f"code: {spec!r}")

@@ -31,16 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import NamedTuple
 
 from .gf import Field, field_create, gf9, is_prime
-from .perms import (VectorFamily, make_family, standard_basis_family, unit_vector,
-                    weight_w_family)
-
-# Brute-force MDS verification solves dense-ish systems per erasure pattern;
-# keep instances at desk scale.
-MAX_VERIFY_CELLS = 4096
+from .perms import VectorFamily, make_family, standard_basis_family, weight_w_family
 
 # Building a code takes time and memory in proportion to its p*k cells per
 # stripe.  Twice the largest code in the tests and README (cons4 m=10 s=6,
@@ -112,8 +105,9 @@ class CodeSpec:
 
 def is_standard_basis(family: VectorFamily) -> bool:
     """Zero vector first, then the m unit vectors in order."""
-    expected = tuple(unit_vector(family.m, family.r, i) for i in range(family.m + 1))
-    return family.vectors == expected and family.zero_index == 0
+    m = family.m
+    expected = [(0,) * m] + [(0,) * i + (1,) + (0,) * (m - 1 - i) for i in range(m)]
+    return family.zero_index == 0 and [v.digits for v in family.vectors] == expected
 
 
 def block_width(family: VectorFamily):
@@ -141,12 +135,7 @@ def default_field(scheme: str, s: int = 1, m: int = None, w: int = None) -> Fiel
     if scheme == "cons3":
         return field_create("prime", 3)
     if scheme == "cons4":
-        q = max(3, s + 1)
-        if q % 2 == 0:
-            q += 1
-        while not is_prime(q):
-            q += 2
-        return field_create("prime", q)
+        return field_create("prime", smallest_prime_at_least(max(3, s + 1)))
     if scheme == "weightw":
         n = 2 ** w + 1
         if is_prime(n):
@@ -231,7 +220,7 @@ _BUILDERS = {"cons3": _build_cons4, "cons4": _build_cons4,
              "weightw": _build_weightw, "r3": _build_r3}
 
 
-def _validate_scheme(scheme, family, field, s):
+def _validate_scheme(scheme, family, field, s, width):
     q = field.q
     if scheme == "cons3":
         if family.r != 2 or s != 1:
@@ -253,7 +242,7 @@ def _validate_scheme(scheme, family, field, s):
     elif scheme == "weightw":
         if family.r != 2 or s != 1:
             raise CodeSpecError("weightw needs r=2 and no duplication")
-        if block_width(family) is None:
+        if width is None:
             raise CodeSpecError("weightw needs a block-weight vector family")
     elif scheme == "r3":
         if family.r != 3 or s != 1:
@@ -307,44 +296,16 @@ def build_code(scheme: str, family: str = "standard", m: int = None, r: int = No
     if fam.p * fam.size * s > MAX_CODE_CELLS:
         raise CodeSpecError(f"code too large: more than {MAX_CODE_CELLS} cells per stripe")
 
+    # weightw reads its w from the family, not from the config
+    width = block_width(fam) if scheme == "weightw" else None
     if field is None:
-        bw = w
-        if scheme == "weightw":
-            bw = block_width(fam)
-            if bw is None:
-                raise CodeSpecError("weightw needs a block-weight vector family")
-        field = default_field(scheme, s=s, m=fam.m, w=bw)
+        if scheme == "weightw" and width is None:
+            raise CodeSpecError("weightw needs a block-weight vector family")
+        field = default_field(scheme, s=s, m=fam.m, w=width)
 
     if s < 1:
         raise CodeSpecError("duplication factor must be at least 1")
-    _validate_scheme(scheme, fam, field, s)
+    _validate_scheme(scheme, fam, field, s, width)
 
     return CodeSpec(fam, field, scheme, s, _BUILDERS[scheme](fam, field, s))
 
-
-class MdsReport(NamedTuple):
-    is_mds: bool
-    failing_pattern: tuple  # node indices, or None
-    patterns_checked: int
-
-    def __bool__(self):
-        return self.is_mds
-
-
-def verify_mds(spec: CodeSpec) -> MdsReport:
-    """Exhaustively check decodability of every pattern of at most r erasures.
-
-    Each pattern is judged by the rank of its surviving parity equations
-    (`CodePlan.decodable`), the same equations and elimination the decoder
-    solves; `tests/oracles.py` checks the verdicts by exhaustive search.
-    """
-    if spec.p * spec.k > MAX_VERIFY_CELLS:
-        raise ValueError(f"instance too large for exhaustive verification "
-                         f"(p*k = {spec.p * spec.k} > {MAX_VERIFY_CELLS})")
-    checked = 0
-    for size in range(1, spec.r + 1):
-        for pattern in combinations(range(spec.n), size):
-            checked += 1
-            if not spec.plan.decodable(pattern):
-                return MdsReport(False, pattern, checked)
-    return MdsReport(True, None, checked)

@@ -10,6 +10,9 @@ Everything here is computed on small ints, with no floating point anywhere.
 arithmetic.  A field walks its primitive element's powers once, with `mul`,
 into `exp` and `log`.  `pow`, `inv` and a compiled code's product and
 inverse tables (`zzmds.plan`) read them; tests check each against `mul`.
+For an extension field that walk, bounded at q - 1 steps, is also the one
+check of the modulus: the powers of x must reach every nonzero residue, so
+an accepted modulus is primitive, hence irreducible.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ MAX_PRIME = 65521
 MAX_BINARY_DEGREE = 8
 
 # Monic modulus x^w + (low part); low part keyed by degree, coefficient of
-# x^j at tuple index j.  All are primitive, so x generates the nonzero
-# elements (verified at construction time).
+# x^j at tuple index j.  All are primitive: x generates the nonzero
+# elements, which the field's walk of x's powers confirms when it is built.
 _BINARY_MODULI = {
     2: (1, 1),                   # x^2 + x + 1
     3: (1, 1, 0),                # x^3 + x + 1
@@ -56,7 +59,7 @@ class Field:
 
     def __init__(self, char: int, degree: int = 1, modulus=None):
         if not is_prime(char):
-            raise FieldError(f"characteristic {char} is not prime")
+            raise FieldError(f"{char} is not prime")
         if degree < 1:
             raise FieldError("degree must be positive")
         self.char = char
@@ -71,8 +74,6 @@ class Field:
             if len(modulus) != degree:
                 raise FieldError("modulus low part must have one coefficient per degree")
             self.modulus = modulus
-            if not self._modulus_irreducible():
-                raise FieldError(f"modulus {modulus} + x^{degree} is reducible over GF({char})")
         # exp[i] = primitive^i; exp lists 1..q-1 once each, so sorting its
         # indices by value gives log, with log[exp[i]] = i.  0 has no log.
         self.primitive, self.exp = self._primitive_powers()
@@ -93,62 +94,24 @@ class Field:
             v = v * self.char + c
         return v
 
-    def _poly_divisible(self, divisor) -> bool:
-        # True if the monic modulus is divisible by the monic `divisor`
-        # (coefficient list, low first, leading 1 included).
-        p = self.char
-        rem = list(self.modulus) + [1]
-        d = len(divisor) - 1
-        while len(rem) - 1 >= d:
-            lead = rem[-1]
-            if lead:
-                shift = len(rem) - 1 - d
-                for j, c in enumerate(divisor):
-                    rem[shift + j] = (rem[shift + j] - lead * c) % p
-            rem.pop()
-        return all(c == 0 for c in rem)
-
-    def _modulus_irreducible(self) -> bool:
-        p, w = self.char, self.degree
-        if w in (2, 3):
-            # No roots in GF(p) is enough for degree 2 and 3.
-            for x in range(p):
-                acc = 1
-                val = 0
-                for c in self.modulus:
-                    val = (val + c * acc) % p
-                    acc = acc * x % p
-                if (val + acc) % p == 0:   # + leading x^w term
-                    return False
-            return True
-        # Trial division by every monic polynomial of degree 1..w//2.
-        for d in range(1, w // 2 + 1):
-            for low in range(p ** d):
-                divisor = []
-                t = low
-                for _ in range(d):
-                    divisor.append(t % p)
-                    t //= p
-                divisor.append(1)
-                if self._poly_divisible(divisor):
-                    return False
-        return True
-
     def _primitive_powers(self):
         """(g, (g^0, ..., g^(q-2))) for the first g of 1, 2, ... (prime field)
-        or for g = x (extension field) whose powers reach 1 only after q - 1
-        structural multiplications."""
+        or for g = x (extension field) whose powers first return to 1 at
+        g^(q-1).  Stopping there ends the walk where x is a zero divisor of a
+        reducible modulus; an accepted modulus is irreducible, as q - 1
+        distinct powers of a unit make every nonzero residue a unit."""
         candidates = range(1, self.char) if self.degree == 1 else (self.char,)
         for g in candidates:
             powers = [1]
             acc = g
-            while acc != 1:
+            while acc != 1 and len(powers) < self.q - 1:
                 powers.append(acc)
                 acc = self.mul(acc, g)
-            if len(powers) == self.q - 1:
+            if acc == 1 and len(powers) == self.q - 1:
                 return g, tuple(powers)
         if self.degree > 1:
-            raise FieldError("x is not primitive for the chosen modulus")
+            raise FieldError(f"modulus {self.modulus} + x^{self.degree} is not primitive "
+                             f"over GF({self.char})")
         raise FieldError("no primitive root found")
 
     # -- element operations ---------------------------------------------------
@@ -242,8 +205,6 @@ def field_create(kind: str, parameter: int) -> Field:
         # the bound first: trial division of a huge parameter would not end
         if parameter > MAX_PRIME:
             raise FieldError(f"prime {parameter} exceeds the supported maximum {MAX_PRIME}")
-        if not is_prime(parameter):
-            raise FieldError(f"{parameter} is not prime")
         return Field(parameter)
     if kind == "binary-extension":
         if not 1 <= parameter <= MAX_BINARY_DEGREE:

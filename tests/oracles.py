@@ -30,6 +30,23 @@ def power(field, a, e):
     return out
 
 
+def x_order(char, low):
+    """The multiplicative order of x modulo the monic x^w + low(x) over
+    GF(char), low's coefficient of x^j at index j, walked with raw
+    coefficient lists; None if the powers of x never return to 1."""
+    w = len(low)
+    one = (1,) + (0,) * (w - 1)
+    acc, seen = one, set()
+    for t in range(1, char ** w + 1):
+        top = acc[-1]        # x * acc, with top * x^w replaced by -top * low
+        acc = tuple((prev - top * c) % char for prev, c in zip((0,) + acc[:-1], low))
+        if acc == one:
+            return t
+        if acc in seen:      # a cycle that 1 is not on
+            return None
+        seen.add(acc)
+
+
 def digits_of(x, r, m):
     out = [0] * m
     for i in range(m - 1, -1, -1):

@@ -12,7 +12,8 @@ from itertools import combinations
 import oracles
 from test_codec import access_rows
 from zzmds import analysis, gf
-from zzmds.construct import build_code, verify_mds
+from zzmds.analysis import verify_mds
+from zzmds.construct import build_code
 from zzmds.files import as_column
 from zzmds.perms import standard_basis_family
 

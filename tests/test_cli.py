@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zzmds import cli, files
-from zzmds.construct import MdsReport
+from zzmds import analysis, cli, files
+from zzmds.analysis import MdsReport
 from zzmds.files import node_filename, read_manifest
 from zzmds.perms import format_vector_list, standard_basis_family
 
@@ -314,12 +314,12 @@ def test_encode_verifies_only_outside_the_proven_setting(tmp_path, monkeypatch, 
     # The construction's own family over its default field, named or not,
     # is MDS by proof and encodes unchecked; another field or an explicit
     # family is checked once, and passes here.
-    calls, verify_mds = [], cli.verify_mds
+    calls, verify_mds = [], analysis.verify_mds
 
     def counted(spec):
         calls.append(spec)
         return verify_mds(spec)
-    monkeypatch.setattr(cli, "verify_mds", counted)
+    monkeypatch.setattr(analysis, "verify_mds", counted)
     encode_config(tmp_path, config, size=200)
     assert len(calls) == verified
 
@@ -328,7 +328,7 @@ def test_encode_verifies_only_outside_the_proven_setting(tmp_path, monkeypatch, 
 def test_undecodable_pattern_is_uncorrectable(tmp_path, capsys, monkeypatch, command):
     # a directory of a code that is not MDS, as an encode without the
     # check wrote it
-    monkeypatch.setattr(cli, "verify_mds", lambda spec: MdsReport(True, None, 0))
+    monkeypatch.setattr(analysis, "verify_mds", lambda spec: MdsReport(True, None, 0))
     cfg = tmp_path / "code.cfg"
     cfg.write_text(CONFIG_NOT_MDS)
     payload = tmp_path / "p.bin"

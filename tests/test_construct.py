@@ -5,8 +5,9 @@ import pytest
 import oracles
 from test_codec import access_rows
 from zzmds import gf
-from zzmds.construct import (CodeSpecError, block_width, build_code,
-                             default_field, is_standard_basis, verify_mds)
+from zzmds.analysis import verify_mds
+from zzmds.construct import (CodeSpecError, block_width, build_code, default_field,
+                             is_standard_basis)
 from zzmds.perms import RVector, standard_basis_family
 
 
@@ -64,6 +65,10 @@ def test_default_fields():
     assert default_field("cons4", s=2).token == "gf(3)"
     assert default_field("cons4", s=3).token == "gf(5)"
     assert default_field("cons4", s=6).token == "gf(7)"
+    # the smallest prime above s, across the move to two-byte fields
+    for s, token in [(4, "gf(5)"), (10, "gf(11)"), (250, "gf(251)"), (251, "gf(257)"),
+                     (256, "gf(257)"), (257, "gf(263)")]:
+        assert default_field("cons4", s=s).token == token
     assert default_field("weightw", w=2).token == "gf(5)"
     assert default_field("weightw", w=3).token == "gf(9)"
     assert default_field("r3", m=2).token == "gf(7)"

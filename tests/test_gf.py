@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -166,6 +167,25 @@ def test_reducible_modulus_rejected():
         gf.Field(2, 4, (1, 0, 1, 0))  # x^4 + x^2 + 1 = (x^2 + x + 1)^2
     with pytest.raises(gf.FieldError):
         gf.Field(3, 2, (2, 0))        # y^2 + 2 has root y=1 over GF(3)
+
+
+def test_walk_accepts_exactly_the_primitive_moduli():
+    # Every monic modulus of these degrees: the field is built exactly when
+    # x has order q - 1, and the bounded walk also ends on zero divisors.
+    cases = [(2, w) for w in range(2, 7)] + [(3, 2), (3, 3), (5, 2), (7, 2)]
+    checked = 0
+    for char, w in cases:
+        for low in itertools.product(range(char), repeat=w):
+            checked += 1
+            if oracles.x_order(char, low) == char ** w - 1:
+                field = gf.Field(char, w, low)
+                assert field.primitive == char and len(set(field.exp)) == field.q - 1
+            else:
+                with pytest.raises(gf.FieldError, match="is not primitive"):
+                    gf.Field(char, w, low)
+    assert checked == 234
+    with pytest.raises(gf.FieldError, match=r"modulus \(0, 0, 0, 0, 0, 0, 0, 0\) \+ x\^8"):
+        gf.Field(2, 8, (0,) * 8)    # x^8 = 0: x is nilpotent
 
 
 def test_tokens_roundtrip():

@@ -1,10 +1,16 @@
 """Checks on the repository itself: `src/` holds only code the package runs,
-only `zzmds.files` knows the encoded directory's format, and the README's
-library example runs as written."""
+only `zzmds.files` knows the encoded directory's format, the data commands
+never load `zzmds.analysis`, and the README's library example runs as
+written."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zzmds"
@@ -106,3 +112,47 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_construct_holds_no_mds_verifier():
+    tree = ast.parse((SRC / "construct.py").read_text())
+    names = set(definitions("construct", tree))
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not {"construct.verify_mds", "construct.MdsReport", "verify_mds",
+                "MdsReport"} & names
+
+
+# Runs zzmds commands in order in one interpreter and prints, after each,
+# whether `zzmds.analysis` has been imported.
+ANALYSIS_PROBE = """
+import os, sys
+from zzmds import cli
+os.chdir(sys.argv[1])
+open("code.cfg", "w").write(sys.argv[2])
+open("in.bin", "wb").write(bytes(range(256)) * 8)
+for command in sys.argv[3:]:
+    argv = command.split()
+    if argv[0] in ("rebuild", "decode"):
+        os.remove("nodes/node_01")
+    code = cli.main(argv)
+    print("probe:", command, code, "zzmds.analysis" in sys.modules)
+"""
+
+PROVEN = "scheme=cons3\nm=2\n"
+UNPROVEN = "scheme=cons3\nm=2\nfamily=explicit\nvectors=00,10,01\n"
+ENCODE = "encode in.bin --config code.cfg --out nodes"
+
+
+@pytest.mark.parametrize("config, commands, loaded", [
+    (PROVEN, [ENCODE, "rebuild nodes", "decode nodes", "scrub nodes"], False),
+    (PROVEN, ["verify --config code.cfg"], True),
+    (UNPROVEN, [ENCODE], True),
+], ids=["data-commands", "verify", "unproven-encode"])
+def test_analysis_loads_only_where_it_runs(tmp_path, config, commands, loaded):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", ANALYSIS_PROBE, str(tmp_path), config,
+                           *commands], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    probes = [line for line in done.stdout.splitlines() if line.startswith("probe: ")]
+    assert probes == [f"probe: {command} 0 {loaded}" for command in commands]
